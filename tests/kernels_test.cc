@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -8,6 +9,7 @@
 #include "kernels/elementwise.h"
 #include "kernels/embedding.h"
 #include "kernels/gemm.h"
+#include "kernels/gemm_variants.h"
 #include "kernels/reduction.h"
 
 namespace turbo::kernels {
@@ -101,6 +103,78 @@ TEST(BatchedGemm, SharedOperandViaZeroStride) {
     EXPECT_NEAR(c[static_cast<size_t>(m * n + j)], ref[static_cast<size_t>(j)], 1e-4f);
   }
 }
+
+// A row of C depends only on its own A row, B and its own old C row: the
+// same row computed alone (m = 1) and at any position of a larger m is
+// bit-equal, across 4-row tiles, 1-row tails and 64-row thread blocks.
+class GemmBatchInvariance : public ::testing::TestWithParam<bool> {};
+
+TEST_P(GemmBatchInvariance, RowMatchesItsSoloRun) {
+  const bool trans_b = GetParam();
+  const int n = 67, k = 37;
+  const float alpha = 0.75f, beta = -0.5f;
+  Rng rng(trans_b ? 41 : 42);
+  const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+  const auto a_row = random_vec(rng, static_cast<size_t>(k));
+  const auto c_row = random_vec(rng, static_cast<size_t>(n));
+  std::vector<float> solo = c_row;
+  gemm(a_row.data(), b.data(), solo.data(), 1, n, k, trans_b, alpha, beta);
+
+  for (int m : {7, 64, 65}) {
+    for (int pos : {0, 3, 6, 63, 64}) {
+      if (pos >= m) continue;
+      auto a = random_vec(rng, static_cast<size_t>(m) * k);
+      auto c = random_vec(rng, static_cast<size_t>(m) * n);
+      std::copy(a_row.begin(), a_row.end(),
+                a.begin() + static_cast<long>(pos) * k);
+      std::copy(c_row.begin(), c_row.end(),
+                c.begin() + static_cast<long>(pos) * n);
+      gemm(a.data(), b.data(), c.data(), m, n, k, trans_b, alpha, beta);
+      EXPECT_EQ(std::memcmp(solo.data(), c.data() + static_cast<long>(pos) * n,
+                            sizeof(float) * n),
+                0)
+          << "m=" << m << " pos=" << pos;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TransB, GemmBatchInvariance, ::testing::Bool());
+
+// Every ISA variant the CPU supports is bit-equal to the portable one, on
+// shapes that hit every column tail and k tail.
+class GemmVariantEquality
+    : public ::testing::TestWithParam<detail::GemmIsa> {};
+
+TEST_P(GemmVariantEquality, BitEqualToPortable) {
+  const detail::GemmFn variant = detail::gemm_variant(GetParam());
+  if (variant == nullptr) GTEST_SKIP() << "ISA not available on this CPU";
+  const detail::GemmFn portable =
+      detail::gemm_variant(detail::GemmIsa::kPortable);
+  ASSERT_NE(portable, nullptr);
+  const int m = 5;
+  for (bool trans_b : {false, true}) {
+    for (int n : {1, 15, 17, 63, 65, 1000}) {
+      for (int k : {1, 15, 17, 1024}) {
+        Rng rng(static_cast<uint64_t>(n * 4096 + k * 2 + trans_b));
+        const auto a = random_vec(rng, static_cast<size_t>(m) * k);
+        const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+        const auto c0 = random_vec(rng, static_cast<size_t>(m) * n);
+        std::vector<float> want = c0, got = c0;
+        portable(a.data(), b.data(), want.data(), m, n, k, trans_b, 0.75f,
+                 -0.5f);
+        variant(a.data(), b.data(), got.data(), m, n, k, trans_b, 0.75f,
+                -0.5f);
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * m * n),
+                  0)
+            << "n=" << n << " k=" << k << " trans_b=" << trans_b;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, GemmVariantEquality,
+                         ::testing::Values(detail::GemmIsa::kAvx2,
+                                           detail::GemmIsa::kAvx512));
 
 // --------------------------------------------------------------- softmax --
 
