@@ -1,4 +1,4 @@
-// Shared helpers for the per-figure benchmark binaries.
+// Shared helpers for the benchmark binaries, perfbench and the tests.
 #pragma once
 
 #include <algorithm>
@@ -70,9 +70,9 @@ inline void print_rule(char c = '-', int n = 78) {
 }
 
 // ---------------------------------------------------------------------------
-// Synthetic generation workloads, shared by the serving benches so every
-// binary stresses the same trace shapes (and so determinism fixes land in
-// one place).
+// Synthetic generation workloads, shared by perfbench and the serving
+// tests so every workload stresses the same trace shapes (and so
+// determinism fixes land in one place).
 // ---------------------------------------------------------------------------
 
 // One tenant of a multi-tenant arrival trace: a request population with
@@ -89,7 +89,7 @@ struct TenantSpec {
   int vocab = 500;
   // Bursty arrivals: requests land in bursts of `burst` every `period`
   // virtual steps. burst == 0 (default) puts the whole population at step
-  // 0 — the all-upfront shape bench_gen_multimodel uses.
+  // 0 — the all-upfront shape.
   int burst = 0;
   int period = 0;
 };
@@ -101,10 +101,10 @@ struct TracedRequest {
   int64_t arrival_step = 0;
 };
 
-// One tenant's requests in id order. The RNG call sequence per request is
-// exactly bench_gen_multimodel's original (one length draw, then the
-// token draw), so refactored benches keep their historical workloads
-// bit-for-bit.
+// One tenant's requests in id order. Per request the RNG draws the
+// prompt length, then its tokens, so a trace is a pure function of the
+// spec and the stream's state; changing that order changes every
+// workload built on it.
 inline std::vector<TracedRequest> make_tenant_trace(const TenantSpec& t,
                                                     Rng& rng) {
   std::vector<TracedRequest> out;
@@ -147,7 +147,7 @@ inline std::vector<TracedRequest> make_multi_tenant_trace(
   return all;
 }
 
-// Strip arrival stamps (for benches that submit everything upfront).
+// Strip arrival stamps (for workloads that submit everything upfront).
 inline std::vector<serving::GenerationRequest> trace_requests(
     const std::vector<TracedRequest>& trace) {
   std::vector<serving::GenerationRequest> out;
@@ -156,8 +156,8 @@ inline std::vector<serving::GenerationRequest> trace_requests(
   return out;
 }
 
-// One chat turn's requests over per-conversation fed histories
-// (bench_gen_radix_prefix's trace shape): conversation c's request id is
+// One chat turn's requests over per-conversation fed histories (the
+// multi-turn radix-cache shape): conversation c's request id is
 // turn * 100 + c and its prompt is the whole history so far.
 inline std::vector<serving::GenerationRequest> chat_turn_requests(
     const std::vector<std::vector<int>>& histories, int turn, int max_new) {
@@ -175,7 +175,7 @@ inline std::vector<serving::GenerationRequest> chat_turn_requests(
   return out;
 }
 
-// EOS-from-trajectory pre-pass (as in bench_gen_preemption): retarget each
+// EOS-from-trajectory pre-pass: retarget each
 // request's eos_id to a token its own uncontended greedy trajectory
 // (`probe_tokens`, keyed by request id) actually emits near a drawn
 // position, so "finishes early" is deterministic and identical across

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "genserve/generation_server.h"
@@ -759,6 +760,75 @@ TEST(GenerationServer, DecoderOnlyRadixSharingDoesNotChangeOutputs) {
   const auto on = run(true);
   EXPECT_EQ(on.first, off.first);  // bit-identical token streams
   EXPECT_LT(on.second, off.second);  // adopted rows skipped prefill steps
+}
+
+TEST(GenerationServer, RadixTierMoreThanDoublesWarmTurnConcurrency) {
+  // Multi-turn chat on a fixed pool under optimistic admission: every
+  // conversation opens with the same block-aligned system prompt, and each
+  // later turn's prompt is the whole fed history plus fresh user tokens.
+  // With the radix tier on, an admitted sequence adopts its cached prefix
+  // (charged once across adopters) and retirees donate their blocks as an
+  // uncharged cache tier; off, every sequence prefills every row into
+  // private blocks, so the same pool holds far fewer sequences at once.
+  constexpr int kSystemTokens = 256;  // 32 blocks of 8
+  constexpr int kUserTokens = 8;
+  constexpr int kConversations = 8;
+  constexpr int kMaxNew = 6;
+  const auto config = model::ModelConfig::tiny_causal(2, 64, 4, 128, 500);
+
+  struct Run {
+    std::vector<std::vector<int>> histories;  // fed tokens per conversation
+    double warm_mean_active = 0.0;  // mean active per step, final turn
+  };
+  const auto run = [&](bool radix) {
+    GenServerOptions options;
+    options.pool.block_tokens = 8;
+    options.pool.blocks_per_slab = 4;
+    options.pool.max_bytes = 128ull * 8 * config.hidden * 2 * sizeof(float);
+    options.pool.enable_radix_tree = radix;
+    options.scheduler.max_active = 32;
+    options.scheduler.optimistic_admission = true;
+    GenerationServer server(config, options, 29);
+    size_t active_sum = 0;
+    size_t steps = 0;
+    server.set_step_observer([&](const StepStats& s) {
+      if (s.active == 0) return;
+      active_sum += static_cast<size_t>(s.active);
+      ++steps;
+    });
+
+    Rng rng(0xC4A7);
+    const auto system_prompt = rng.token_ids(kSystemTokens, 500);
+    Run r;
+    r.histories.assign(kConversations, system_prompt);
+    for (int turn = 0; turn < 2; ++turn) {
+      for (auto& h : r.histories) {
+        const auto user = rng.token_ids(kUserTokens, 500);
+        h.insert(h.end(), user.begin(), user.end());
+      }
+      for (auto& req : bench::chat_turn_requests(r.histories, turn, kMaxNew)) {
+        server.submit(std::move(req));
+      }
+      active_sum = 0;
+      steps = 0;
+      for (const auto& resp : server.run_to_completion()) {
+        auto& h = r.histories[static_cast<size_t>(resp.request_id % 100)];
+        h.insert(h.end(), resp.tokens.begin(), resp.tokens.end());
+      }
+    }
+    r.warm_mean_active =
+        static_cast<double>(active_sum) / static_cast<double>(steps);
+    EXPECT_EQ(server.pool().radix_hits() > 0, radix);
+    server.pool().check_invariants();
+    return r;
+  };
+
+  const Run off = run(false);
+  const Run on = run(true);
+  EXPECT_EQ(on.histories, off.histories);  // adoption is bit-exact
+  EXPECT_GT(on.warm_mean_active, 2.0 * off.warm_mean_active)
+      << "radix on " << on.warm_mean_active << " vs off "
+      << off.warm_mean_active;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Multi-model generation serving: registry-routed engines over per-model
-// KV pools charging one shared slab budget.
+// KV pools charging one shared slab budget, which must use memory better
+// than a static per-model split under skewed load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +8,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "genserve/generation_server.h"
@@ -300,6 +303,133 @@ TEST(MultiModelServer, IdleHeadroomIsBorrowedAndReclaimedByItsOwner) {
   for (const auto& [id, toks] : ref_a) EXPECT_EQ(tokens.at(id), toks);
   for (const auto& [id, toks] : ref_b) EXPECT_EQ(tokens.at(id), toks);
   EXPECT_EQ(server.budget().used_bytes(), 0u);
+}
+
+TEST(MultiModelServer, SharedBudgetOutusesStaticHalvesUnderSkewedLoad) {
+  // Two models with different block geometry on one budget B, under
+  // skewed load: 32 "heavy" requests with generous output budgets against
+  // a 6-request "light" trickle; each request's EOS is a token its own
+  // dedicated greedy run emits near a drawn position, so it stops early.
+  // Static halves (max_bytes = B/2 per server, one step each per round)
+  // strand the light model's idle half; the shared budget lends it to the
+  // heavy model and takes it back through the reclaim path. Both schemes
+  // must match the dedicated servers bit for bit.
+  const auto heavy_config = model::ModelConfig::tiny(2, 64, 4, 128, 500);
+  auto heavy = make_bundle("heavy", 1, heavy_config, /*seed=*/31);
+  auto light = make_bundle("light", 1,
+                           model::ModelConfig::tiny(2, 32, 2, 64, 500),
+                           /*seed=*/32);
+  GenServerOptions engine;
+  engine.pool.block_tokens = 8;
+  engine.pool.blocks_per_slab = 8;
+  engine.scheduler.max_active = 8;
+  engine.scheduler.optimistic_admission = true;
+  const auto dedicated = [&](const std::shared_ptr<ModelBundle>& bundle,
+                             const std::vector<serving::GenerationRequest>&
+                                 reqs) {
+    GenerationServer server(bundle, engine);
+    for (const auto& r : reqs) server.submit(r);
+    std::map<int64_t, std::vector<int>> tokens;
+    for (auto& resp : server.run_to_completion()) {
+      tokens[resp.request_id] = std::move(resp.tokens);
+    }
+    return tokens;
+  };
+
+  Rng rng(0x3350);
+  bench::TenantSpec heavy_tenant;
+  heavy_tenant.model = "heavy";
+  heavy_tenant.requests = 32;
+  heavy_tenant.src_lo = 6;
+  heavy_tenant.src_hi = 16;
+  heavy_tenant.max_new_tokens = 48;
+  bench::TenantSpec light_tenant;
+  light_tenant.model = "light";
+  light_tenant.requests = 6;
+  light_tenant.id_base = 1000;
+  auto heavy_reqs =
+      bench::trace_requests(bench::make_tenant_trace(heavy_tenant, rng));
+  auto light_reqs =
+      bench::trace_requests(bench::make_tenant_trace(light_tenant, rng));
+  bench::assign_natural_eos(heavy_reqs, dedicated(heavy, heavy_reqs), rng, 8,
+                            24);
+  bench::assign_natural_eos(light_reqs, dedicated(light, light_reqs), rng, 4,
+                            10);
+  auto reference = dedicated(heavy, heavy_reqs);
+  reference.merge(dedicated(light, light_reqs));
+
+  // B = 8 heavy-model slabs: a static half is 4 (one worst-case heavy
+  // request alone wants ~2), far more than the light trickle ever fills.
+  const size_t total = 8 * (8 * 8 * heavy_config.kv_bytes_per_token() /
+                            heavy_config.num_layers);
+
+  const auto expect_reference =
+      [&](const std::vector<serving::GenerationResponse>& responses,
+          const char* scheme) {
+        EXPECT_EQ(responses.size(), reference.size()) << scheme;
+        for (const auto& resp : responses) {
+          EXPECT_EQ(resp.tokens, reference.at(resp.request_id))
+              << scheme << " request " << resp.request_id;
+        }
+      };
+
+  // Mean over rounds of aggregate used bytes / B.
+  double static_util = 0.0;
+  {
+    GenServerOptions half = engine;
+    half.pool.max_bytes = total / 2;
+    GenerationServer heavy_server(heavy, half);
+    GenerationServer light_server(light, half);
+    for (const auto& r : heavy_reqs) heavy_server.submit(r);
+    for (const auto& r : light_reqs) light_server.submit(r);
+    size_t used_sum = 0;
+    size_t rounds = 0;
+    while (!heavy_server.idle() || !light_server.idle()) {
+      heavy_server.step();
+      light_server.step();
+      used_sum += heavy_server.pool().stats().current_device_bytes +
+                  light_server.pool().stats().current_device_bytes;
+      ++rounds;
+    }
+    auto responses = heavy_server.take_completed();
+    for (auto& r : light_server.take_completed()) {
+      responses.push_back(std::move(r));
+    }
+    expect_reference(responses, "static halves");
+    static_util = static_cast<double>(used_sum) /
+                  (static_cast<double>(rounds) * static_cast<double>(total));
+  }
+
+  double shared_util = 0.0;
+  {
+    MultiModelOptions options;
+    options.engine = engine;
+    options.total_kv_bytes = total;
+    MultiModelGenerationServer server(options);
+    server.register_bundle(heavy, total / 2);
+    server.register_bundle(light, total / 2);
+    for (const auto& r : heavy_reqs) server.submit(r);
+    for (const auto& r : light_reqs) server.submit(r);
+    size_t used_sum = 0;
+    size_t rounds = 0;
+    while (!server.idle()) {
+      server.step();
+      used_sum += server.budget().used_bytes();
+      ++rounds;
+    }
+    expect_reference(server.take_completed(), "shared budget");
+    size_t preemptions = 0;
+    for (const auto& s : server.stats()) preemptions += s.pool.preemptions;
+    EXPECT_GT(preemptions, 0u) << "the skew never contended";
+    EXPECT_LE(server.budget().snapshot().peak_used_bytes, total);
+    EXPECT_EQ(server.budget().used_bytes(), 0u);
+    shared_util = static_cast<double>(used_sum) /
+                  (static_cast<double>(rounds) * static_cast<double>(total));
+  }
+  // Structural: borrowed slabs turn the light model's stranded half into
+  // working memory. Read 1.90x (93.3% vs 49.2%) when this was recorded.
+  EXPECT_GT(shared_util, 1.2 * static_util)
+      << "shared " << shared_util << " vs static " << static_util;
 }
 
 TEST(MultiModelServer, ReplicatedModelBitIdenticalWithPerReplicaStats) {

@@ -4,7 +4,8 @@
 // stepping, and the headline property — routed N-replica serving is
 // bit-identical to an uncontended single-engine reference, preemption,
 // hot registration and all, because placement only decides WHERE a
-// sequence runs, never WHAT it decodes.
+// sequence runs, never WHAT it decodes. SLO-aware placement must also
+// beat round-robin on deterministic (virtual-step) goodput.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "genserve/generation_server.h"
@@ -235,6 +237,135 @@ TEST(RouterTest, SloAwarePlacementFallbackAndSpans) {
   EXPECT_STREQ(fb.peer, "m:v1#1");
   EXPECT_EQ(routes[0].bytes, 0u);
   EXPECT_STREQ(routes[3].peer, "m:v1");
+}
+
+// ---------------------------------------------------------------- goodput --
+
+// SLO goodput: tokens of requests that finished inside their deadline.
+// One model on three replicas under a shared budget, fed a bursty trace
+// of three tenants: a tight-SLO trickle (priority 2), a standard stream
+// and a deep-prompt batch backfill (priority -1). Deadlines are virtual
+// steps scaled from each request's own uncontended token count, and the
+// router reads no clock (use_observed_cost = false), so which requests
+// attain is a pure function of the placements.
+TEST(RouterTest, SloAwareBeatsRoundRobinOnSloGoodput) {
+  const auto config = model::ModelConfig::tiny(2, 64, 4, 128, 500);
+  auto bundle = genserve::make_bundle("chat", 1, config, 77);
+  genserve::GenServerOptions engine;
+  engine.pool.block_tokens = 8;
+  engine.pool.blocks_per_slab = 8;
+  engine.scheduler.max_active = 6;
+  engine.scheduler.optimistic_admission = true;
+
+  Rng rng(0x5107);
+  bench::TenantSpec tight;
+  tight.requests = 24;
+  tight.src_lo = 4;
+  tight.src_hi = 8;
+  tight.priority = 2;
+  tight.burst = 3;
+  tight.period = 5;
+  bench::TenantSpec standard;
+  standard.requests = 36;
+  standard.id_base = 1000;
+  standard.src_lo = 6;
+  standard.src_hi = 14;
+  standard.max_new_tokens = 32;
+  standard.burst = 6;
+  standard.period = 7;
+  bench::TenantSpec batch;
+  batch.requests = 16;
+  batch.id_base = 2000;
+  batch.src_lo = 10;
+  batch.src_hi = 20;
+  batch.max_new_tokens = 48;
+  batch.priority = -1;
+  batch.burst = 8;
+  batch.period = 20;
+  auto trace = bench::make_multi_tenant_trace({tight, standard, batch}, rng);
+  const auto reference = [&] {
+    genserve::GenerationServer server(bundle, engine);
+    for (const auto& a : trace) server.submit(a.request);
+    std::map<int64_t, std::vector<int>> tokens;
+    for (auto& resp : server.run_to_completion()) {
+      tokens[resp.request_id] = std::move(resp.tokens);
+    }
+    return tokens;
+  };
+  {
+    // Natural EOS: each request stops near a drawn position in 6..20.
+    auto reqs = bench::trace_requests(trace);
+    bench::assign_natural_eos(reqs, reference(), rng, 6, 20);
+    for (size_t i = 0; i < trace.size(); ++i) trace[i].request = reqs[i];
+  }
+  const auto ref = reference();
+
+  // Budget: ~half the worst case, so the replicas contend.
+  const size_t total =
+      8 * (8 * 8 * config.kv_bytes_per_token() / config.num_layers);
+  struct Goodput {
+    size_t attained = 0;        // tokens of requests inside their deadline
+    size_t attained_tight = 0;  // the tight class's share of those
+  };
+  const auto run = [&](serving::DispatchPolicy policy, int replicas) {
+    genserve::MultiModelOptions options;
+    options.engine = engine;
+    options.engine.trace.enabled = true;
+    options.total_kv_bytes = total;
+    options.replicas_per_model = replicas;
+    options.router.policy = policy;
+    options.router.use_observed_cost = false;
+    genserve::MultiModelGenerationServer server(options);
+    server.register_bundle(bundle, total);
+
+    std::map<int64_t, int64_t> finish_step;
+    std::map<int64_t, std::vector<int>> tokens;
+    size_t next = 0;
+    int64_t steps = 0;
+    while (next < trace.size() || !server.idle()) {
+      while (next < trace.size() && trace[next].arrival_step <= steps) {
+        server.submit(trace[next++].request);
+      }
+      server.step();
+      ++steps;
+      for (auto& resp : server.take_completed()) {
+        finish_step[resp.request_id] = steps;
+        tokens[resp.request_id] = std::move(resp.tokens);
+      }
+    }
+    EXPECT_EQ(tokens, ref) << "placement changed a token (replicas "
+                           << replicas << ")";
+    size_t route_spans = 0;
+    for (const auto& span : server.trace_spans()) {
+      if (span.kind == obs::SpanKind::kRoute) ++route_spans;
+    }
+    EXPECT_EQ(route_spans, trace.size()) << "one kRoute span per submit";
+
+    // Deadline: arrival + stretch x tokens + slack, in driver steps, per
+    // class (tight, standard, batch).
+    constexpr int64_t kStretch[] = {2, 4, 10};
+    constexpr int64_t kSlack[] = {6, 24, 120};
+    Goodput g;
+    for (const auto& a : trace) {
+      const auto klass = serving::slo_class_of(a.request.priority);
+      const auto c = static_cast<size_t>(klass);
+      const size_t toks = ref.at(a.request.id).size();
+      const int64_t deadline =
+          a.arrival_step + kStretch[c] * static_cast<int64_t>(toks) +
+          kSlack[c];
+      if (finish_step.at(a.request.id) <= deadline) {
+        g.attained += toks;
+        if (klass == serving::SloClass::kTight) g.attained_tight += toks;
+      }
+    }
+    return g;
+  };
+  const Goodput rr = run(serving::DispatchPolicy::kRoundRobin, 3);
+  const Goodput slo = run(serving::DispatchPolicy::kSloAware, 3);
+  run(serving::DispatchPolicy::kSloAware, 1);  // the single-engine path
+  // Read 683 vs 558 attained tokens, 56 vs 41 tight, when recorded.
+  EXPECT_GT(slo.attained, rr.attained);
+  EXPECT_GE(slo.attained_tight, rr.attained_tight);
 }
 
 // --------------------------------------------------------------- property --

@@ -408,11 +408,18 @@ TEST(TlsfFragmentation, MixedGeometryBundlesBeatTheSlabBaseline) {
     }
     size_t peak_live = 0;
     size_t peak_waste = 0;
+    size_t preemptions = 0;
     for (const auto& s : server.stats()) {
       peak_live += s.pool.peak_live_bytes;
       peak_waste += s.pool.peak_waste_bytes;
+      preemptions += s.pool.preemptions;
     }
     EXPECT_GT(peak_live, 0u);
+    EXPECT_GT(preemptions, 0u) << "the budget never contended";
+    // Radix-cached prefixes stay charged after drain, so the budget is
+    // not empty here; it was just never over-committed.
+    EXPECT_LE(server.budget().snapshot().peak_used_bytes,
+              options.total_kv_bytes);
     // Peak resident over peak live, with resident reconstructed from the
     // TIME-CORRELATED overshoot: the separate lifetime peaks of resident
     // and live both saturate under load and the quotient collapses to 1.0

@@ -1,10 +1,11 @@
 // trace_report: offline latency attribution over a dumped trace.
 //
-// Reads a "# turbo-trace v1" file (what the benches write under
-// TURBO_TRACE_OUT and what TraceRing snapshots serialize to via
-// obs/trace_io.h), runs the obs::passes pipeline over it, and prints the
-// report: per-phase p99 attribution, queueing-delay breakdown, preemption
-// cascades, cross-model reclaim timeline.
+// Reads a "# turbo-trace v1" file (what TraceRing snapshots serialize to
+// via obs/trace_io.h; preemption_test writes one for its traced
+// preempting run when TURBO_TRACE_OUT is set), runs the obs::passes
+// pipeline over it, and prints the report: per-phase p99 attribution,
+// queueing-delay breakdown, preemption cascades, cross-model reclaim
+// timeline.
 //
 //   trace_report trace.tsv                    # summary report
 //   trace_report trace.tsv --chrome out.json  # + Chrome-tracing JSON
