@@ -2,12 +2,14 @@
 // simulated GPU kernels' planning paths (real wall time, not model time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/builders.h"
 #include "kernels/elementwise.h"
 #include "kernels/gemm.h"
+#include "kernels/paged_attention.h"
 #include "kernels/reduction.h"
 #include "memory/gsoc_planner.h"
 #include "memory/model_aware_allocator.h"
@@ -73,6 +75,58 @@ void BM_AddBiasGelu(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * cols);
 }
 BENCHMARK(BM_AddBiasGelu)->Arg(128)->Arg(1024);
+
+// One decode query's attention at chat_prefix's shape: hidden 256 as 4
+// heads of 64, over 350 cached rows in 16-row pool blocks. The three parts
+// of Seq2SeqDecoder::attend, timed apart.
+enum class AttentionPart { kQk, kSoftmax, kAv };
+
+void BM_PagedAttention(benchmark::State& state, AttentionPart part) {
+  constexpr int kHeads = 4, kD = 64, kHidden = kHeads * kD;
+  constexpr int kCount = 350, kBlockTokens = 16;
+  Rng rng(6);
+  std::vector<float> k(static_cast<size_t>(kCount) * kHidden), v(k);
+  std::vector<float> q(kHidden), out(kHidden);
+  std::vector<float> scores(static_cast<size_t>(kHeads) * kCount);
+  rng.fill_uniform(k.data(), k.size(), -1, 1);
+  rng.fill_uniform(v.data(), v.size(), -1, 1);
+  rng.fill_uniform(q.data(), q.size(), -1, 1);
+  std::vector<kernels::KvSpan> spans;
+  for (int row = 0; row < kCount; row += kBlockTokens) {
+    const size_t at = static_cast<size_t>(row) * kHidden;
+    spans.push_back({k.data() + at, v.data() + at,
+                     std::min(kBlockTokens, kCount - row)});
+  }
+  const int num_spans = static_cast<int>(spans.size());
+  kernels::paged_qk_dot(q.data(), spans.data(), num_spans, kCount, kHidden,
+                        kHeads, kD, scores.data());
+  for (auto _ : state) {
+    switch (part) {
+      case AttentionPart::kQk:
+        kernels::paged_qk_dot(q.data(), spans.data(), num_spans, kCount,
+                              kHidden, kHeads, kD, scores.data());
+        break;
+      case AttentionPart::kSoftmax:
+        // Re-normalizing the last pass's probabilities costs what the
+        // logits would: one expf per element.
+        for (int h = 0; h < kHeads; ++h) {
+          kernels::softmax_row(scores.data() + h * kCount, kCount, 0.125f);
+        }
+        break;
+      case AttentionPart::kAv:
+        kernels::paged_av_accumulate(scores.data(), spans.data(), num_spans,
+                                     kCount, kHidden, kHeads, kD, out.data());
+        break;
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCount * kHidden);
+}
+BENCHMARK_CAPTURE(BM_PagedAttention, qk, AttentionPart::kQk);
+BENCHMARK_CAPTURE(BM_PagedAttention, softmax, AttentionPart::kSoftmax);
+BENCHMARK_CAPTURE(BM_PagedAttention, av, AttentionPart::kAv);
 
 // The planner itself — the overhead the paper's Fig. 13 measures.
 void BM_ModelAwarePlanning(benchmark::State& state) {

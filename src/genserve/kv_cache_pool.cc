@@ -110,16 +110,14 @@ void SequenceKv::block_extents(const std::vector<int>& blocks, int count,
   }
 }
 
-bool SequenceKv::self_extents(int layer, int count,
+void SequenceKv::self_extents(int layer, int count,
                               std::vector<model::KvSpan>& out) {
   block_extents(self_blocks_[static_cast<size_t>(layer)], count, out);
-  return true;
 }
 
-bool SequenceKv::cross_extents(int layer, std::vector<model::KvSpan>& out) {
+void SequenceKv::cross_extents(int layer, std::vector<model::KvSpan>& out) {
   block_extents(pool_->shares_.at(share_id_).blocks[static_cast<size_t>(layer)],
                 s_src_, out);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

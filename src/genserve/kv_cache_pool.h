@@ -209,9 +209,9 @@ class SequenceKv final : public model::KvCacheView {
   // where reads live. Self extents require ensure_token(count - 1) to have
   // run; physical order of spans tracks however the free list fragmented,
   // which is invisible to the decoder.
-  bool self_extents(int layer, int count,
+  void self_extents(int layer, int count,
                     std::vector<model::KvSpan>& out) override;
-  bool cross_extents(int layer, std::vector<model::KvSpan>& out) override;
+  void cross_extents(int layer, std::vector<model::KvSpan>& out) override;
 
  private:
   friend class KvCachePool;

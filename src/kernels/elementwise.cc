@@ -2,10 +2,12 @@
 
 #include <cmath>
 
+#include "kernels/parallel.h"
+
 namespace turbo::kernels {
 
 void add_bias(float* data, const float* bias, long rows, long cols) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (rows * cols >= kMinParallelElems)
   for (long r = 0; r < rows; ++r) {
     float* row = data + r * cols;
     for (long c = 0; c < cols; ++c) row[c] += bias[c];
@@ -19,12 +21,13 @@ float gelu_scalar(float x) {
 }
 
 void gelu(float* data, long n) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n >= kMinParallelElemsHeavy)
   for (long i = 0; i < n; ++i) data[i] = gelu_scalar(data[i]);
 }
 
 void add_bias_gelu(float* data, const float* bias, long rows, long cols) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (rows * cols >= kMinParallelElemsHeavy)
   for (long r = 0; r < rows; ++r) {
     float* row = data + r * cols;
     for (long c = 0; c < cols; ++c) row[c] = gelu_scalar(row[c] + bias[c]);
@@ -32,7 +35,7 @@ void add_bias_gelu(float* data, const float* bias, long rows, long cols) {
 }
 
 void add_residual(float* x, const float* residual, long n) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n >= kMinParallelElems)
   for (long i = 0; i < n; ++i) x[i] += residual[i];
 }
 
@@ -41,7 +44,8 @@ void split_add_bias_transpose(const float* qkv, const float* bias, float* q,
                               int heads, int head_dim) {
   const long hidden = static_cast<long>(heads) * head_dim;
   float* outs[3] = {q, k, v};
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (3L * batch * seq * hidden >= kMinParallelElems)
   for (int b = 0; b < batch; ++b) {
     for (int s = 0; s < seq; ++s) {
       const float* src = qkv + ((static_cast<long>(b) * seq + s) * 3) * hidden;
@@ -65,7 +69,8 @@ void split_add_bias_transpose(const float* qkv, const float* bias, float* q,
 void transpose_to_heads(const float* in, float* out, int batch, int seq,
                         int heads, int head_dim) {
   const long hidden = static_cast<long>(heads) * head_dim;
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (static_cast<long>(batch) * seq * hidden >= kMinParallelElems)
   for (int b = 0; b < batch; ++b) {
     for (int s = 0; s < seq; ++s) {
       const float* src = in + (static_cast<long>(b) * seq + s) * hidden;
@@ -82,7 +87,8 @@ void transpose_to_heads(const float* in, float* out, int batch, int seq,
 void transpose_for_score(const float* in, float* out, int batch, int seq,
                          int heads, int head_dim) {
   const long hidden = static_cast<long>(heads) * head_dim;
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (static_cast<long>(batch) * seq * hidden >= kMinParallelElems)
   for (int b = 0; b < batch; ++b) {
     for (int s = 0; s < seq; ++s) {
       float* dst = out + (static_cast<long>(b) * seq + s) * hidden;

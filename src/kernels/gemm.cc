@@ -5,13 +5,7 @@
 
 #include "common/check.h"
 #include "kernels/gemm_variants.h"
-
-// The x86 variants are written with GCC's target pragmas, which clang
-// lacks; other targets and clang build the portable variant alone.
-#if defined(__x86_64__) && !defined(__clang__)
-#define TT_GEMM_X86 1
-#include <immintrin.h>
-#endif
+#include "kernels/simd_ops.h"
 
 namespace turbo::kernels {
 
@@ -19,83 +13,18 @@ namespace {
 
 constexpr int kBlockM = 64;
 
-// Each variant includes the micro-kernel text into its own namespace rather
-// than instantiating one template per ISA: GCC gives a template's
-// instantiations the target options in force where the template was
-// defined, so each ISA's copy has to be defined inside its own
-// `#pragma GCC target` region.
-
-// Portable variant: one float per "vector", std::fma per element.
+// One variant per ISA: the micro-kernel text included into its own
+// namespace under that ISA's target (see simd_ops.h).
 namespace portable {
-struct Ops {
-  using V = float;
-  using Mask = bool;
-  static constexpr int W = 1;
-  static constexpr int kStripVecs = 4;
-  static constexpr int kDotRows = 1;
-  static constexpr int kDotCols = 1;
-  static V zero() { return 0.0f; }
-  static V set1(float x) { return x; }
-  static V load(const float* p) { return *p; }
-  static V loadm(const float* p, Mask m) { return m ? *p : 0.0f; }
-  static void store(float* p, V v) { *p = v; }
-  static void storem(float* p, V v, Mask m) {
-    if (m) *p = v;
-  }
-  static Mask mask(int n) { return n > 0; }
-  static V mul(V a, V b) { return a * b; }
-  static V fma(V a, V b, V c) { return std::fma(a, b, c); }
-  static float sum16(const V* lanes) {
-    float s[16];
-    std::copy(lanes, lanes + 16, s);
-    for (int half = 8; half >= 1; half /= 2) {
-      for (int l = 0; l < half; ++l) s[l] += s[l + half];
-    }
-    return s[0];
-  }
-};
+using Ops = simd::portable::Ops;
 #include "kernels/gemm_microkernel.inc"
 }  // namespace portable
 
-#if defined(TT_GEMM_X86)
-
-// sum16's tree from eight lanes down, shared by both x86 variants: lanes
-// l + (l+4), then l + (l+2), then l + (l+1), in SSE registers.
+#if defined(TT_SIMD_X86)
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
-inline float sum8(__m256 s8) {
-  const __m128 s4 =
-      _mm_add_ps(_mm256_castps256_ps128(s8), _mm256_extractf128_ps(s8, 1));
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  const __m128 s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
-  return _mm_cvtss_f32(s1);
-}
-
 namespace avx2 {
-struct Ops {
-  using V = __m256;
-  using Mask = __m256i;
-  static constexpr int W = 8;
-  static constexpr int kStripVecs = 3;
-  static constexpr int kDotRows = 2;
-  static constexpr int kDotCols = 2;
-  static V zero() { return _mm256_setzero_ps(); }
-  static V set1(float x) { return _mm256_set1_ps(x); }
-  static V load(const float* p) { return _mm256_loadu_ps(p); }
-  static V loadm(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
-  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
-  static void storem(float* p, V v, Mask m) { _mm256_maskstore_ps(p, m, v); }
-  static Mask mask(int n) {
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  }
-  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
-  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
-  // Lanes 0-7 in lanes[0], 8-15 in lanes[1]: first l + (l+8).
-  static float sum16(const V* lanes) {
-    return sum8(_mm256_add_ps(lanes[0], lanes[1]));
-  }
-};
+using Ops = simd::avx2::Ops;
 #include "kernels/gemm_microkernel.inc"
 }  // namespace avx2
 #pragma GCC pop_options
@@ -103,64 +32,23 @@ struct Ops {
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx2,fma")
 namespace avx512 {
-struct Ops {
-  using V = __m512;
-  using Mask = __mmask16;
-  static constexpr int W = 16;
-  static constexpr int kStripVecs = 4;
-  static constexpr int kDotRows = 4;
-  static constexpr int kDotCols = 4;
-  static V zero() { return _mm512_setzero_ps(); }
-  static V set1(float x) { return _mm512_set1_ps(x); }
-  static V load(const float* p) { return _mm512_loadu_ps(p); }
-  static V loadm(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
-  static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
-  static void storem(float* p, V v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
-  static Mask mask(int n) { return static_cast<Mask>((1u << n) - 1u); }
-  static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
-  static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
-  // First l + (l+8): the low and high 256-bit halves. Not
-  // _mm512_reduce_add_ps, whose order is the compiler's. The extracts are
-  // zero-masked because the unmasked ones (and _mm512_castps512_ps256)
-  // pass an undefined vector through, which trips GCC 12's
-  // -Wuninitialized.
-  static float sum16(const V* lanes) {
-    const __m512d v = _mm512_castps_pd(lanes[0]);
-    const __m256 lo = _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, v, 0));
-    const __m256 hi = _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, v, 1));
-    return sum8(_mm256_add_ps(lo, hi));
-  }
-};
+using Ops = simd::avx512::Ops;
 #include "kernels/gemm_microkernel.inc"
 }  // namespace avx512
 #pragma GCC pop_options
-
-#endif  // TT_GEMM_X86
-
-detail::GemmFn best_variant() {
-  using detail::GemmIsa;
-  for (GemmIsa isa : {GemmIsa::kAvx512, GemmIsa::kAvx2}) {
-    if (detail::GemmFn fn = detail::gemm_variant(isa)) return fn;
-  }
-  return detail::gemm_variant(GemmIsa::kPortable);
-}
+#endif  // TT_SIMD_X86
 
 }  // namespace
 
 namespace detail {
 
-GemmFn gemm_variant(GemmIsa isa) {
-#if defined(TT_GEMM_X86)
-  __builtin_cpu_init();
-  const bool has_avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (isa == GemmIsa::kAvx2) return has_avx2 ? avx2::gemm_serial : nullptr;
-  if (isa == GemmIsa::kAvx512) {
-    return has_avx2 && __builtin_cpu_supports("avx512f") ? avx512::gemm_serial
-                                                          : nullptr;
-  }
+GemmFn gemm_variant(Isa isa) {
+  if (!isa_supported(isa)) return nullptr;
+#if defined(TT_SIMD_X86)
+  if (isa == Isa::kAvx512) return avx512::gemm_serial;
+  if (isa == Isa::kAvx2) return avx2::gemm_serial;
 #endif
-  return isa == GemmIsa::kPortable ? portable::gemm_serial : nullptr;
+  return portable::gemm_serial;
 }
 
 }  // namespace detail
@@ -188,7 +76,7 @@ void gemm(const float* a, const float* b, float* c, int m, int n, int k,
   TT_CHECK_GE(k, 0);
   if (m == 0 || n == 0) return;
 
-  static const detail::GemmFn kernel = best_variant();
+  static const detail::GemmFn kernel = detail::gemm_variant(detail::best_isa());
   // Rows are independent and each C element's arithmetic is fixed, so the
   // split into 64-row blocks (and the thread count) cannot change a bit.
   const int blocks = (m + kBlockM - 1) / kBlockM;

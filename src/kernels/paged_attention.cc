@@ -1,137 +1,77 @@
 #include "kernels/paged_attention.h"
 
+#include <algorithm>
+
+#include "kernels/paged_attention_variants.h"
+#include "kernels/simd_ops.h"
+
 namespace turbo::kernels {
 
 namespace {
 
-// Below this many (row, head) cells the OpenMP fork costs more than the
-// kernel: short contexts, cross-attention over small sources, and the
-// tiny-model unit tests all stay serial.
-constexpr long kParallelCells = 2048;
+// One variant per ISA: the kernel text included into its own namespace
+// under that ISA's target (see simd_ops.h).
+namespace portable {
+using Ops = simd::portable::Ops;
+#include "kernels/paged_attention_microkernel.inc"
+}  // namespace portable
+
+#if defined(TT_SIMD_X86)
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+namespace avx2 {
+using Ops = simd::avx2::Ops;
+#include "kernels/paged_attention_microkernel.inc"
+}  // namespace avx2
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma")
+namespace avx512 {
+using Ops = simd::avx512::Ops;
+#include "kernels/paged_attention_microkernel.inc"
+}  // namespace avx512
+#pragma GCC pop_options
+#endif  // TT_SIMD_X86
 
 }  // namespace
+
+namespace detail {
+
+PagedQkFn paged_qk_variant(Isa isa) {
+  if (!isa_supported(isa)) return nullptr;
+#if defined(TT_SIMD_X86)
+  if (isa == Isa::kAvx512) return avx512::paged_qk;
+  if (isa == Isa::kAvx2) return avx2::paged_qk;
+#endif
+  return portable::paged_qk;
+}
+
+PagedAvFn paged_av_variant(Isa isa) {
+  if (!isa_supported(isa)) return nullptr;
+#if defined(TT_SIMD_X86)
+  if (isa == Isa::kAvx512) return avx512::paged_av;
+  if (isa == Isa::kAvx2) return avx2::paged_av;
+#endif
+  return portable::paged_av;
+}
+
+}  // namespace detail
 
 void paged_qk_dot(const float* q, const KvSpan* spans, int num_spans,
                   long count, long row_stride, int heads, int d,
                   float* scores) {
-  // Row-major within a span: each K row is streamed exactly once, every
-  // head's dot reading its d-strip while the row is hot. Each (head, row)
-  // score keeps one scalar accumulator over ascending features —
-  // bit-identical to the head-major reference — and scores are
-  // independent, so spans split freely across threads. The prefix
-  // recomputation per span is noise next to the rows themselves.
-#pragma omp parallel for schedule(static) \
-    if (num_spans > 1 && count * heads >= kParallelCells)
-  for (int s = 0; s < num_spans; ++s) {
-    long base = 0;
-    for (int j = 0; j < s; ++j) base += spans[j].rows;
-    const KvSpan& span = spans[s];
-    // Four rows at a time with one independent accumulator each: the
-    // feature loop stays ascending per score (bit-identical to the scalar
-    // reference) while the four chains hide FMA latency — ILP the per-row
-    // gather path cannot get, since it sees one row pointer at a time.
-    int i = 0;
-    for (; i + 4 <= span.rows; i += 4) {
-      const float* r0 = span.k + static_cast<long>(i) * row_stride;
-      const float* r1 = r0 + row_stride;
-      const float* r2 = r1 + row_stride;
-      const float* r3 = r2 + row_stride;
-      for (int h = 0; h < heads; ++h) {
-        const long off = static_cast<long>(h) * d;
-        const float* qh = q + off;
-        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-        for (int dd = 0; dd < d; ++dd) {
-          const float qv = qh[dd];
-          a0 += qv * r0[off + dd];
-          a1 += qv * r1[off + dd];
-          a2 += qv * r2[off + dd];
-          a3 += qv * r3[off + dd];
-        }
-        float* sh = scores + h * count + base + i;
-        sh[0] = a0;
-        sh[1] = a1;
-        sh[2] = a2;
-        sh[3] = a3;
-      }
-    }
-    for (; i < span.rows; ++i) {
-      const float* r = span.k + static_cast<long>(i) * row_stride;
-      for (int h = 0; h < heads; ++h) {
-        const float* qh = q + static_cast<long>(h) * d;
-        const float* rh = r + static_cast<long>(h) * d;
-        float acc = 0.0f;
-        for (int dd = 0; dd < d; ++dd) acc += qh[dd] * rh[dd];
-        scores[h * count + base + i] = acc;
-      }
-    }
-  }
+  static const detail::PagedQkFn kernel =
+      detail::paged_qk_variant(detail::best_isa());
+  kernel(q, spans, num_spans, count, row_stride, heads, d, scores);
 }
 
 void paged_av_accumulate(const float* probs, const KvSpan* spans,
                          int num_spans, long count, long row_stride,
                          int heads, int d, float* out) {
-  // Every output lane (h, dd) accumulates its rows in ascending position
-  // order — the running sum's rounding matches the head-major reference
-  // exactly. Large extents split by head: disjoint out lanes, disjoint V
-  // strips, each lane's order untouched, so still bit-identical.
-  if (count * heads >= kParallelCells) {
-#pragma omp parallel for schedule(static)
-    for (int h = 0; h < heads; ++h) {
-      const float* ph = probs + static_cast<long>(h) * count;
-      const long off = static_cast<long>(h) * d;
-      float* oh = out + off;
-      long pos = 0;
-      for (int s = 0; s < num_spans; ++s) {
-        for (int i = 0; i < spans[s].rows; ++i) {
-          const float p = ph[pos + i];
-          const float* rh =
-              spans[s].v + static_cast<long>(i) * row_stride + off;
-          for (int dd = 0; dd < d; ++dd) oh[dd] += p * rh[dd];
-        }
-        pos += spans[s].rows;
-      }
-    }
-    return;
-  }
-  // Serial: row-major, each V row streamed once past all heads. Rows are
-  // grouped in fours per lane with a register accumulator — the four
-  // updates apply in the same ascending order as the reference's one-row-
-  // at-a-time stores, so every lane's running sum rounds identically.
-  long pos = 0;
-  for (int s = 0; s < num_spans; ++s) {
-    const KvSpan& span = spans[s];
-    int i = 0;
-    for (; i + 4 <= span.rows; i += 4) {
-      const float* r0 = span.v + static_cast<long>(i) * row_stride;
-      const float* r1 = r0 + row_stride;
-      const float* r2 = r1 + row_stride;
-      const float* r3 = r2 + row_stride;
-      for (int h = 0; h < heads; ++h) {
-        const long off = static_cast<long>(h) * d;
-        const float* ph = probs + h * count + pos + i;
-        const float p0 = ph[0], p1 = ph[1], p2 = ph[2], p3 = ph[3];
-        float* oh = out + off;
-        for (int dd = 0; dd < d; ++dd) {
-          float acc = oh[dd];
-          acc += p0 * r0[off + dd];
-          acc += p1 * r1[off + dd];
-          acc += p2 * r2[off + dd];
-          acc += p3 * r3[off + dd];
-          oh[dd] = acc;
-        }
-      }
-    }
-    for (; i < span.rows; ++i) {
-      const float* r = span.v + static_cast<long>(i) * row_stride;
-      for (int h = 0; h < heads; ++h) {
-        const float p = probs[h * count + pos + i];
-        const float* rh = r + static_cast<long>(h) * d;
-        float* oh = out + static_cast<long>(h) * d;
-        for (int dd = 0; dd < d; ++dd) oh[dd] += p * rh[dd];
-      }
-    }
-    pos += span.rows;
-  }
+  static const detail::PagedAvFn kernel =
+      detail::paged_av_variant(detail::best_isa());
+  kernel(probs, spans, num_spans, count, row_stride, heads, d, out);
 }
 
 }  // namespace turbo::kernels

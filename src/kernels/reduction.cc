@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "kernels/parallel.h"
 
 namespace turbo::kernels {
 
@@ -21,7 +22,8 @@ void softmax_row(float* row, long n, float scale) {
 }
 
 void softmax_rows(float* data, long rows, long cols, float scale) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (rows * cols >= kMinParallelElemsHeavy)
   for (long r = 0; r < rows; ++r) {
     softmax_row(data + r * cols, cols, scale);
   }
@@ -35,7 +37,8 @@ void attention_softmax(float* scores, int batch, int heads, long s_q,
   if (valid_len != nullptr) {
     for (int b = 0; b < batch; ++b) TT_CHECK_GT(valid_len[b], 0);
   }
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (batch * rows_per_batch * s_k >= kMinParallelElemsHeavy)
   for (int b = 0; b < batch; ++b) {
     for (long r = 0; r < rows_per_batch; ++r) {
       float* row = scores + (b * rows_per_batch + r) * s_k;
@@ -57,7 +60,8 @@ void attention_softmax(float* scores, int batch, int heads, long s_q,
 
 void layernorm(float* out, const float* in, const float* gamma,
                const float* beta, long rows, long cols, float eps) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (rows * cols >= kMinParallelElemsHeavy)
   for (long r = 0; r < rows; ++r) {
     const float* x = in + r * cols;
     float* y = out + r * cols;
@@ -78,7 +82,8 @@ void layernorm(float* out, const float* in, const float* gamma,
 void add_bias_layernorm(float* out, const float* x, const float* residual,
                         const float* bias, const float* gamma,
                         const float* beta, long rows, long cols, float eps) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (rows * cols >= kMinParallelElemsHeavy)
   for (long r = 0; r < rows; ++r) {
     const float* xr = x + r * cols;
     const float* res = residual + r * cols;

@@ -48,19 +48,6 @@ void BeamKvFactory::prepare_token(KvCacheView& cache, int t) {
   (void)t;  // dense caches pre-allocate max_len rows; nothing to do
 }
 
-bool KvCacheView::self_extents(int layer, int count, std::vector<KvSpan>& out) {
-  (void)layer;
-  (void)count;
-  (void)out;  // no extents: the decoder gathers per-row pointers instead
-  return false;
-}
-
-bool KvCacheView::cross_extents(int layer, std::vector<KvSpan>& out) {
-  (void)layer;
-  (void)out;
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // DenseKvCache
 // ---------------------------------------------------------------------------
@@ -101,20 +88,18 @@ float* DenseKvCache::cross_v(int layer, int s) {
          static_cast<size_t>(s) * hidden_;
 }
 
-bool DenseKvCache::self_extents(int layer, int count,
+void DenseKvCache::self_extents(int layer, int count,
                                 std::vector<KvSpan>& out) {
   TT_CHECK_LE(count, max_len_);
   out.clear();
   out.push_back(KvSpan{self_k_[static_cast<size_t>(layer)].data(),
                        self_v_[static_cast<size_t>(layer)].data(), count});
-  return true;
 }
 
-bool DenseKvCache::cross_extents(int layer, std::vector<KvSpan>& out) {
+void DenseKvCache::cross_extents(int layer, std::vector<KvSpan>& out) {
   out.clear();
   out.push_back(KvSpan{cross_->k[static_cast<size_t>(layer)].data(),
                        cross_->v[static_cast<size_t>(layer)].data(), s_src_});
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -307,65 +292,28 @@ void Seq2SeqDecoder::attend(KvCacheView& cache, int layer, bool self_side,
   const int heads = config_.heads;
   const int d = config_.head_dim();
   auto& scores = ws.scores;
-
   auto& spans = ws.spans;
-  const bool paged =
-      attn_path_ == AttentionPath::kPaged &&
-      (self_side ? cache.self_extents(layer, count, spans)
-                 : cache.cross_extents(layer, spans));
-  if (paged) {
-    long covered = 0;
-    for (const KvSpan& span : spans) covered += span.rows;
-    TT_CHECK_EQ(covered, count);
-    // Scores live [heads, count]: the kernels stream each K/V row once
-    // past all heads (splitting big extent lists across threads), with a
-    // per-head softmax in between.
-    scores.resize(static_cast<size_t>(heads) * count);
-    kernels::paged_qk_dot(q, spans.data(), static_cast<int>(spans.size()),
-                          count, H, heads, d, scores.data());
-    for (int h = 0; h < heads; ++h) {
-      kernels::softmax_row(scores.data() + static_cast<long>(h) * count, count,
-                           scale);
-    }
-    std::fill(out, out + H, 0.0f);
-    kernels::paged_av_accumulate(scores.data(), spans.data(),
-                                 static_cast<int>(spans.size()), count, H,
-                                 heads, d, out);
-    return;
+  if (self_side) {
+    cache.self_extents(layer, count, spans);
+  } else {
+    cache.cross_extents(layer, spans);
   }
-  scores.resize(static_cast<size_t>(count));
-
-  // Row-pointer fallback: gather one K and one V pointer per cached token,
-  // then walk them per head. Arithmetic (ascending-feature dots, ascending-
-  // position accumulation) matches the span kernels exactly, so both paths
-  // are bit-identical.
-  auto& krows = ws.krows;
-  auto& vrows = ws.vrows;
-  krows.assign(static_cast<size_t>(count), nullptr);
-  vrows.assign(static_cast<size_t>(count), nullptr);
-  for (int u = 0; u < count; ++u) {
-    krows[static_cast<size_t>(u)] =
-        self_side ? cache.self_k(layer, u) : cache.cross_k(layer, u);
-    vrows[static_cast<size_t>(u)] =
-        self_side ? cache.self_v(layer, u) : cache.cross_v(layer, u);
-  }
+  long covered = 0;
+  for (const KvSpan& span : spans) covered += span.rows;
+  TT_CHECK_EQ(covered, count);
+  // Scores live [heads, count]: the kernels read each K row once past all
+  // heads, with a per-head softmax in between.
+  scores.resize(static_cast<size_t>(heads) * count);
+  const int num_spans = static_cast<int>(spans.size());
+  kernels::paged_qk_dot(q, spans.data(), num_spans, count, H, heads, d,
+                        scores.data());
   for (int h = 0; h < heads; ++h) {
-    const float* qrow = q + static_cast<size_t>(h) * d;
-    for (int u = 0; u < count; ++u) {
-      const float* ku = krows[static_cast<size_t>(u)] + h * d;
-      float acc = 0.0f;
-      for (int dd = 0; dd < d; ++dd) acc += qrow[dd] * ku[dd];
-      scores[static_cast<size_t>(u)] = acc;
-    }
-    kernels::softmax_row(scores.data(), count, scale);
-    float* o = out + static_cast<size_t>(h) * d;
-    std::fill(o, o + d, 0.0f);
-    for (int u = 0; u < count; ++u) {
-      const float* vu = vrows[static_cast<size_t>(u)] + h * d;
-      const float p = scores[static_cast<size_t>(u)];
-      for (int dd = 0; dd < d; ++dd) o[dd] += p * vu[dd];
-    }
+    kernels::softmax_row(scores.data() + static_cast<long>(h) * count, count,
+                         scale);
   }
+  std::fill(out, out + H, 0.0f);
+  kernels::paged_av_accumulate(scores.data(), spans.data(), num_spans, count,
+                               H, heads, d, out);
 }
 
 Hypothesis Seq2SeqDecoder::decode(const Tensor& memory, int max_len,

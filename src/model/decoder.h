@@ -47,6 +47,7 @@ class KvCacheView {
   // Source-sentence length this cache's cross-attention K/V covers.
   virtual int src_len() const = 0;
 
+  // Row accessors, through which the decoder writes K/V.
   // [heads * head_dim] row for self-attention K/V of target token t.
   virtual float* self_k(int layer, int t) = 0;
   virtual float* self_v(int layer, int t) = 0;
@@ -55,16 +56,17 @@ class KvCacheView {
   virtual float* cross_k(int layer, int s) = 0;
   virtual float* cross_v(int layer, int s) = 0;
 
-  // Block-extent iteration (paged attention): overwrite `out` with
-  // contiguous spans covering self token rows [0, count) — respectively
-  // cross rows [0, src_len()) — in position order. Returning false means
-  // the cache does not expose extents and the decoder falls back to
-  // per-row self_k/self_v gathers; that is the base-class default, so any
-  // external KvCacheView keeps working unchanged. Implementations must
-  // only report rows that are already materialized (for pool caches,
-  // ensure_token up to count - 1 must have run).
-  virtual bool self_extents(int layer, int count, std::vector<KvSpan>& out);
-  virtual bool cross_extents(int layer, std::vector<KvSpan>& out);
+  // Block-extent iteration (paged attention), through which the decoder
+  // reads K/V: overwrite `out` with contiguous spans covering self token
+  // rows [0, count) — respectively cross rows [0, src_len()) — in position
+  // order. Implementations must only report rows that are already
+  // materialized (for pool caches, ensure_token up to count - 1 must have
+  // run). The span kernels' results do not depend on how the rows split
+  // into spans, so any two caches holding the same rows decode
+  // bit-identically (kernels/paged_attention.h).
+  virtual void self_extents(int layer, int count,
+                            std::vector<KvSpan>& out) = 0;
+  virtual void cross_extents(int layer, std::vector<KvSpan>& out) = 0;
 };
 
 // Simple contiguous KvCacheView for one sequence: the reference cache
@@ -81,8 +83,8 @@ class DenseKvCache final : public KvCacheView {
   float* self_v(int layer, int t) override;
   float* cross_k(int layer, int s) override;
   float* cross_v(int layer, int s) override;
-  bool self_extents(int layer, int count, std::vector<KvSpan>& out) override;
-  bool cross_extents(int layer, std::vector<KvSpan>& out) override;
+  void self_extents(int layer, int count, std::vector<KvSpan>& out) override;
+  void cross_extents(int layer, std::vector<KvSpan>& out) override;
 
  private:
   struct CrossKv {
@@ -118,29 +120,12 @@ class BeamKvFactory {
 struct DecodeWorkspace {
   std::vector<float> x, qkv, attn, proj, resid, inter, scores;
   std::vector<float> xg, lg;  // gathered hidden rows / compact logits
-  std::vector<const float*> krows, vrows;
   std::vector<KvSpan> spans;
 };
 
 class Seq2SeqDecoder {
  public:
   explicit Seq2SeqDecoder(ModelConfig config, uint64_t seed = 42);
-
-  // How step() walks a sequence's K/V history.
-  enum class AttentionPath {
-    // Block-extent iteration: ask the cache for contiguous spans once per
-    // (sequence, layer) and run the span kernels over each — gather-free.
-    // Caches without extents (base-class default) silently use the row
-    // path; DenseKvCache and genserve::SequenceKv both provide extents.
-    kPaged,
-    // Per-row pointer gather (two virtual calls per cached token). The
-    // pre-paging baseline, kept for benchmarking and equivalence tests;
-    // bit-identical to kPaged by construction.
-    kRows,
-  };
-
-  void set_attention_path(AttentionPath path) { attn_path_ = path; }
-  AttentionPath attention_path() const { return attn_path_; }
 
   // One sequence's slot in a step batch.
   struct StepSlot {
@@ -181,15 +166,14 @@ class Seq2SeqDecoder {
 
  private:
   // One query's attention over `count` cached K/V rows of `cache` (self
-  // history when `self_side`, else cross memory): scores, softmax, weighted
-  // values into out[H]. Dispatches between the span and row paths.
+  // history when `self_side`, else cross memory): the span kernels' scores,
+  // a per-head softmax and the weighted values into out[H].
   void attend(KvCacheView& cache, int layer, bool self_side, int count,
               const float* q, float* out, float scale,
               DecodeWorkspace& ws) const;
 
   ModelConfig config_;
   DecoderWeights weights_;
-  AttentionPath attn_path_ = AttentionPath::kPaged;
 };
 
 }  // namespace turbo::model

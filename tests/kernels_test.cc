@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <list>
 #include <vector>
 
 #include "common/check.h"
@@ -10,6 +12,8 @@
 #include "kernels/embedding.h"
 #include "kernels/gemm.h"
 #include "kernels/gemm_variants.h"
+#include "kernels/paged_attention.h"
+#include "kernels/paged_attention_variants.h"
 #include "kernels/reduction.h"
 
 namespace turbo::kernels {
@@ -143,13 +147,13 @@ INSTANTIATE_TEST_SUITE_P(TransB, GemmBatchInvariance, ::testing::Bool());
 // Every ISA variant the CPU supports is bit-equal to the portable one, on
 // shapes that hit every column tail and k tail.
 class GemmVariantEquality
-    : public ::testing::TestWithParam<detail::GemmIsa> {};
+    : public ::testing::TestWithParam<detail::Isa> {};
 
 TEST_P(GemmVariantEquality, BitEqualToPortable) {
   const detail::GemmFn variant = detail::gemm_variant(GetParam());
   if (variant == nullptr) GTEST_SKIP() << "ISA not available on this CPU";
   const detail::GemmFn portable =
-      detail::gemm_variant(detail::GemmIsa::kPortable);
+      detail::gemm_variant(detail::Isa::kPortable);
   ASSERT_NE(portable, nullptr);
   const int m = 5;
   for (bool trans_b : {false, true}) {
@@ -173,8 +177,175 @@ TEST_P(GemmVariantEquality, BitEqualToPortable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Isa, GemmVariantEquality,
-                         ::testing::Values(detail::GemmIsa::kAvx2,
-                                           detail::GemmIsa::kAvx512));
+                         ::testing::Values(detail::Isa::kAvx2,
+                                           detail::Isa::kAvx512));
+
+// ------------------------------------------------------- paged attention --
+
+// One query over `count` K/V rows of `heads` heads of width d. split()
+// copies the rows into separately allocated spans, so that every split
+// really moves them.
+struct PagedAttentionCase {
+  PagedAttentionCase(int heads_, int d_, int count_, uint64_t seed)
+      : heads(heads_), d(d_), count(count_), stride(heads_ * d_) {
+    Rng rng(seed);
+    q = random_vec(rng, static_cast<size_t>(stride));
+    k = random_vec(rng, static_cast<size_t>(count) * stride);
+    v = random_vec(rng, static_cast<size_t>(count) * stride);
+    probs = random_vec(rng, static_cast<size_t>(heads) * count, 0.0f, 1.0f);
+    out0 = random_vec(rng, static_cast<size_t>(stride));
+  }
+
+  // Spans of the given sizes, cycled until all rows are covered.
+  std::vector<KvSpan> split(const std::vector<int>& sizes) {
+    std::vector<KvSpan> spans;
+    for (int row = 0, i = 0; row < count; ++i) {
+      const int rows =
+          std::min(sizes[static_cast<size_t>(i) % sizes.size()], count - row);
+      const long at = static_cast<long>(row) * stride;
+      const long len = static_cast<long>(rows) * stride;
+      buffers.emplace_back(k.begin() + at, k.begin() + at + len);
+      const float* kspan = buffers.back().data();
+      buffers.emplace_back(v.begin() + at, v.begin() + at + len);
+      spans.push_back(KvSpan{kspan, buffers.back().data(), rows});
+      row += rows;
+    }
+    return spans;
+  }
+
+  std::vector<float> qk(detail::PagedQkFn fn, const std::vector<KvSpan>& s) {
+    std::vector<float> scores(static_cast<size_t>(heads) * count);
+    fn(q.data(), s.data(), static_cast<int>(s.size()), count, stride, heads,
+       d, scores.data());
+    return scores;
+  }
+
+  std::vector<float> av(detail::PagedAvFn fn, const std::vector<KvSpan>& s) {
+    std::vector<float> out = out0;
+    fn(probs.data(), s.data(), static_cast<int>(s.size()), count, stride,
+       heads, d, out.data());
+    return out;
+  }
+
+  int heads, d, count;
+  long stride;
+  std::vector<float> q, k, v, probs, out0;
+  std::list<std::vector<float>> buffers;  // the spans' rows; stable addresses
+};
+
+const int kPagedDims[] = {16, 20, 48, 64};        // 20, 48: masked tails
+const int kPagedCounts[] = {1, 15, 16, 17, 350};  // around the 16-lane width
+const std::vector<int> kRagged = {5, 1, 16, 2, 7, 3};
+
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+// Every ISA variant the CPU supports is bit-equal to the portable one.
+class PagedAttentionVariantEquality
+    : public ::testing::TestWithParam<detail::Isa> {};
+
+TEST_P(PagedAttentionVariantEquality, BitEqualToPortable) {
+  const detail::PagedQkFn qk = detail::paged_qk_variant(GetParam());
+  const detail::PagedAvFn av = detail::paged_av_variant(GetParam());
+  if (qk == nullptr || av == nullptr) {
+    GTEST_SKIP() << "ISA not available on this CPU";
+  }
+  const auto qk0 = detail::paged_qk_variant(detail::Isa::kPortable);
+  const auto av0 = detail::paged_av_variant(detail::Isa::kPortable);
+  for (int d : kPagedDims) {
+    for (int count : kPagedCounts) {
+      PagedAttentionCase c(3, d, count,
+                           static_cast<uint64_t>(d * 1000 + count));
+      const auto spans = c.split(kRagged);
+      EXPECT_TRUE(bit_equal(c.qk(qk, spans), c.qk(qk0, spans)))
+          << "qk d=" << d << " count=" << count;
+      EXPECT_TRUE(bit_equal(c.av(av, spans), c.av(av0, spans)))
+          << "av d=" << d << " count=" << count;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, PagedAttentionVariantEquality,
+                         ::testing::Values(detail::Isa::kAvx2,
+                                           detail::Isa::kAvx512));
+
+// In every variant, splitting the rows into spans changes no bit: one span
+// vs 1-, 3- and 16-row spans and a ragged split.
+TEST(PagedAttention, SpanSplitBitEqualToOneSpan) {
+  for (detail::Isa isa :
+       {detail::Isa::kPortable, detail::Isa::kAvx2, detail::Isa::kAvx512}) {
+    const detail::PagedQkFn qk = detail::paged_qk_variant(isa);
+    const detail::PagedAvFn av = detail::paged_av_variant(isa);
+    if (qk == nullptr || av == nullptr) continue;
+    for (int d : kPagedDims) {
+      for (int count : kPagedCounts) {
+        PagedAttentionCase c(4, d, count,
+                             static_cast<uint64_t>(d * 1000 + count + 7));
+        const auto one = c.split({count});
+        const auto scores = c.qk(qk, one);
+        const auto out = c.av(av, one);
+        for (const auto& sizes :
+             std::vector<std::vector<int>>{{1}, {3}, {16}, kRagged}) {
+          const auto spans = c.split(sizes);
+          EXPECT_TRUE(bit_equal(c.qk(qk, spans), scores))
+              << "qk isa=" << static_cast<int>(isa) << " d=" << d
+              << " count=" << count << " split=" << sizes[0];
+          EXPECT_TRUE(bit_equal(c.av(av, spans), out))
+              << "av isa=" << static_cast<int>(isa) << " d=" << d
+              << " count=" << count << " split=" << sizes[0];
+        }
+      }
+    }
+  }
+}
+
+// The public kernels against a double-precision oracle. Whatever the
+// order, a float sum whose terms each pass through at most n roundings is
+// within n * 2^-24 (to first order; n <= 350 here keeps the rest below 1%)
+// of the sum of the terms' magnitudes. A score's terms pass through at most
+// d/16 + 5 <= d roundings (their lane's fmas and the 4-level tree), an
+// output lane's through at most count.
+TEST(PagedAttention, WithinRoundingBoundOfDoubleOracle) {
+  const double u = std::ldexp(1.0, -24);
+  for (int d : kPagedDims) {
+    for (int count : kPagedCounts) {
+      PagedAttentionCase c(4, d, count, static_cast<uint64_t>(d + count));
+      const auto spans = c.split(kRagged);
+      const auto scores = c.qk(paged_qk_dot, spans);
+      const auto out = c.av(paged_av_accumulate, spans);
+      for (int h = 0; h < c.heads; ++h) {
+        for (int r = 0; r < count; ++r) {
+          double ref = 0.0, mag = 0.0;
+          for (int dd = 0; dd < d; ++dd) {
+            const double q = c.q[static_cast<size_t>(h * d + dd)];
+            const double term =
+                q * c.k[static_cast<size_t>(r * c.stride + h * d + dd)];
+            ref += term;
+            mag += std::fabs(term);
+          }
+          const float got = scores[static_cast<size_t>(h * count + r)];
+          EXPECT_LE(std::fabs(got - ref), 1.01 * d * u * mag)
+              << "qk h=" << h << " row=" << r << " d=" << d;
+        }
+        for (int dd = 0; dd < d; ++dd) {
+          const size_t lane = static_cast<size_t>(h * d + dd);
+          double ref = c.out0[lane], mag = std::fabs(ref);
+          for (int r = 0; r < count; ++r) {
+            const double p = c.probs[static_cast<size_t>(h * count + r)];
+            const double term =
+                p * c.v[static_cast<size_t>(r * c.stride) + lane];
+            ref += term;
+            mag += std::fabs(term);
+          }
+          EXPECT_LE(std::fabs(out[lane] - ref), 1.01 * count * u * mag)
+              << "av lane=" << lane << " d=" << d << " count=" << count;
+        }
+      }
+    }
+  }
+}
 
 // --------------------------------------------------------------- softmax --
 
