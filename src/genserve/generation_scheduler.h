@@ -227,9 +227,8 @@ class GenerationScheduler {
   // the pool's footprint has dropped by at least `bytes`, or nothing
   // preemptible remains. The parked sequences take the ordinary
   // preempt-and-requeue path — they resume and replay bit-identically once
-  // capacity returns. Returns the bytes actually freed — quantized to the
-  // pool's reclaim grain (whole slabs under kSlab, block spans under
-  // kTlsf), so possibly more than asked.
+  // capacity returns. Returns the bytes actually freed — quantized to
+  // whole slabs, so possibly more than asked.
   size_t shed(size_t bytes);
 
   // Blocks the front waiting candidate needs materialized to (re)join

@@ -133,19 +133,6 @@ void GenerationServer::bind_metrics() {
   g_device_bytes_ = &metrics_->gauge(p + "kv_device_bytes");
   g_kv_free_blocks_ = &metrics_->gauge(p + "kv_free_blocks");
   g_kv_charged_bytes_ = &metrics_->gauge(p + "kv_charged_bytes");
-  if (pool_.arena_kind() == KvArenaKind::kTlsf) {
-    // Arena health for TLSF-backed pools, prefixed by engine label so
-    // co-hosted models' arenas (and replicas) stay distinguishable in a
-    // shared registry. The label is whatever identity the metric prefix
-    // carries ("gen.<label>.").
-    const std::string t =
-        "mem.tlsf." + p.substr(4, p.size() - 5) + ".";
-    g_tlsf_live_bytes_ = &metrics_->gauge(t + "live_bytes");
-    g_tlsf_resident_bytes_ = &metrics_->gauge(t + "resident_bytes");
-    g_tlsf_splits_ = &metrics_->gauge(t + "splits");
-    g_tlsf_coalesces_ = &metrics_->gauge(t + "coalesces");
-    g_tlsf_failed_allocs_ = &metrics_->gauge(t + "failed_allocs");
-  }
   h_step_ms_ = &metrics_->histogram(p + "step_ms");
   h_batch_ = &metrics_->histogram(p + "batch_size");
   h_latency_ms_ = &metrics_->histogram(p + "request_latency_ms");
@@ -535,14 +522,6 @@ int GenerationServer::step() {
   g_kv_free_blocks_->set(static_cast<double>(pool_free_blocks(pool_)));
   g_kv_charged_bytes_->set(
       static_cast<double>(pool_.charged_blocks() * pool_.block_bytes()));
-  if (g_tlsf_live_bytes_ != nullptr) {
-    const memory::TlsfArenaStats ts = *pool_.tlsf_stats();
-    g_tlsf_live_bytes_->set(static_cast<double>(ts.live_bytes));
-    g_tlsf_resident_bytes_->set(static_cast<double>(ts.resident_bytes));
-    g_tlsf_splits_->set(static_cast<double>(ts.splits));
-    g_tlsf_coalesces_->set(static_cast<double>(ts.coalesces));
-    g_tlsf_failed_allocs_->set(static_cast<double>(ts.failed_allocs));
-  }
   if (observer_) {
     StepStats stats;
     stats.iteration = iteration_;
@@ -585,13 +564,8 @@ PoolSnapshot GenerationServer::pool_snapshot() const {
   s.bytes_in_use = pool_.bytes_in_use();
   s.device_bytes = pool_.stats().current_device_bytes;
   s.peak_device_bytes = pool_.stats().peak_device_bytes;
-  if (const auto ts = pool_.tlsf_stats()) {
-    s.peak_live_bytes = ts->peak_live_bytes;
-    s.peak_resident_bytes = ts->peak_resident_bytes;
-  } else {
-    s.peak_live_bytes = pool_.peak_blocks_in_use() * pool_.block_bytes();
-    s.peak_resident_bytes = pool_.stats().peak_device_bytes;
-  }
+  s.peak_live_bytes = pool_.peak_blocks_in_use() * pool_.block_bytes();
+  s.peak_resident_bytes = pool_.stats().peak_device_bytes;
   s.peak_waste_bytes = pool_.peak_waste_bytes();
   s.free_blocks = pool_free_blocks(pool_);
   s.charged_bytes = pool_.charged_blocks() * pool_.block_bytes();

@@ -115,15 +115,14 @@ struct PoolSnapshot {
   size_t bytes_in_use = 0;
   size_t device_bytes = 0;
   size_t peak_device_bytes = 0;
-  // Fragmentation pair: peak bytes in unique live blocks vs peak bytes the
-  // device must back to hold them (slab footprint under kSlab, arena
-  // frontier under kTlsf). resident/live = 1.0 means zero overhead.
+  // Fragmentation pair: peak bytes in unique live blocks vs peak slab
+  // footprint the device must back to hold them. resident/live = 1.0 means
+  // zero overhead.
   size_t peak_live_bytes = 0;
   size_t peak_resident_bytes = 0;
   // Peak instantaneous resident-minus-live overshoot (time-correlated,
   // unlike the pair above whose separate peaks both saturate under load):
-  // partial slabs + unswept empties under kSlab, frontier holes under
-  // kTlsf. See KvCachePool::peak_waste_bytes().
+  // partial slabs + unswept empties. See KvCachePool::peak_waste_bytes().
   size_t peak_waste_bytes = 0;
   // Admission headroom, the router's KV-pressure signals: blocks the pool
   // could still charge right now (max_blocks - charged, saturating at 0 —
@@ -298,13 +297,6 @@ class GenerationServer {
   // against the admission gate.
   obs::Gauge* g_kv_free_blocks_ = nullptr;
   obs::Gauge* g_kv_charged_bytes_ = nullptr;
-  // TLSF arena gauges ("mem.tlsf.<label>.*"); bound only when the pool
-  // runs under KvArenaKind::kTlsf, null (and never published) under kSlab.
-  obs::Gauge* g_tlsf_live_bytes_ = nullptr;
-  obs::Gauge* g_tlsf_resident_bytes_ = nullptr;
-  obs::Gauge* g_tlsf_splits_ = nullptr;
-  obs::Gauge* g_tlsf_coalesces_ = nullptr;
-  obs::Gauge* g_tlsf_failed_allocs_ = nullptr;
   obs::Histogram* h_step_ms_ = nullptr;
   obs::Histogram* h_batch_ = nullptr;
   obs::Histogram* h_latency_ms_ = nullptr;

@@ -133,43 +133,21 @@ KvCachePool::KvCachePool(const model::ModelConfig& config,
                     config.hidden) {
   TT_CHECK_GE(options_.block_tokens, 1);
   TT_CHECK_GE(options_.blocks_per_slab, 1);
-  // The capacity floor is one reclaim grain: a slab under kSlab, one
-  // class-rounded block span under kTlsf.
-  const size_t grain = options_.arena == KvArenaKind::kTlsf
-                           ? memory::TlsfArena::good_size(block_bytes())
-                           : slab_bytes();
+  // The capacity floor is one slab.
   if (options_.max_bytes > 0) {
-    TT_CHECK_MSG(options_.max_bytes >= grain,
-                 "max_bytes below one allocation grain: "
-                     << options_.max_bytes);
+    TT_CHECK_MSG(options_.max_bytes >= slab_bytes(),
+                 "max_bytes below one slab: " << options_.max_bytes);
   }
   if (options_.slab_budget != nullptr) {
     if (options_.slab_budget->total_bytes() > 0) {
-      TT_CHECK_MSG(options_.slab_budget->total_bytes() >= grain,
-                   "shared budget below one allocation grain: "
+      TT_CHECK_MSG(options_.slab_budget->total_bytes() >= slab_bytes(),
+                   "shared budget below one slab: "
                        << options_.slab_budget->total_bytes());
     }
     budget_client_ = options_.slab_budget->register_client(
         options_.budget_client_name.empty() ? "kv-pool"
                                             : options_.budget_client_name,
         options_.budget_guarantee_bytes);
-  }
-  if (options_.arena == KvArenaKind::kTlsf) {
-    // Charging the class-rounded span (not raw block_bytes) keeps every
-    // free hole a multiple of the pool's single allocation size, so the
-    // byte gates below are exact: the arena can never refuse while the
-    // budget math says a block fits.
-    tlsf_unit_ = grain;
-    size_t cap = options_.tlsf_initial_bytes;
-    if (cap == 0) {
-      const size_t ceiling = max_blocks_ceiling();
-      cap = ceiling != std::numeric_limits<size_t>::max()
-                ? ceiling * tlsf_unit_   // bounded: reserve the ceiling once
-                : 64 * tlsf_unit_;       // unbounded: start small, double
-    }
-    cap = std::max(cap, tlsf_unit_);
-    tlsf_ = std::make_unique<memory::TlsfArena>(cap);
-    tlsf_buffer_ = AlignedBuffer(tlsf_->capacity_bytes());
   }
   radix_ = std::make_unique<BlockRadixTree>(options_.block_tokens, num_layers_,
                                             options_.chunk_hash_override);
@@ -234,20 +212,6 @@ size_t KvCachePool::blocks_for_prompt(const std::vector<int>& prompt_tokens,
 }
 
 size_t KvCachePool::max_blocks() const {
-  if (options_.arena == KvArenaKind::kTlsf) {
-    // Byte-granular: blocks come one span at a time, so every charged byte
-    // of headroom converts to capacity — no whole-slab rounding.
-    size_t cap = std::numeric_limits<size_t>::max();
-    if (options_.max_bytes > 0) cap = options_.max_bytes / tlsf_unit_;
-    if (options_.slab_budget != nullptr) {
-      const size_t avail = options_.slab_budget->available_bytes();
-      if (avail != std::numeric_limits<size_t>::max()) {
-        const size_t mine = tracker_.stats().current_device_bytes;
-        cap = std::min(cap, (mine + avail) / tlsf_unit_);
-      }
-    }
-    return cap;
-  }
   size_t cap = std::numeric_limits<size_t>::max();
   if (options_.max_bytes > 0) {
     cap = options_.max_bytes / slab_bytes() *
@@ -269,15 +233,6 @@ size_t KvCachePool::max_blocks() const {
 }
 
 size_t KvCachePool::max_blocks_ceiling() const {
-  if (options_.arena == KvArenaKind::kTlsf) {
-    size_t cap = std::numeric_limits<size_t>::max();
-    if (options_.max_bytes > 0) cap = options_.max_bytes / tlsf_unit_;
-    if (options_.slab_budget != nullptr) {
-      const size_t total = options_.slab_budget->total_bytes();
-      if (total > 0) cap = std::min(cap, total / tlsf_unit_);
-    }
-    return cap;
-  }
   size_t cap = std::numeric_limits<size_t>::max();
   if (options_.max_bytes > 0) {
     cap = options_.max_bytes / slab_bytes() *
@@ -291,15 +246,6 @@ size_t KvCachePool::max_blocks_ceiling() const {
     }
   }
   return cap;
-}
-
-size_t KvCachePool::reclaim_grain_bytes() const {
-  return options_.arena == KvArenaKind::kTlsf ? tlsf_unit_ : slab_bytes();
-}
-
-std::optional<memory::TlsfArenaStats> KvCachePool::tlsf_stats() const {
-  if (tlsf_ == nullptr) return std::nullopt;
-  return tlsf_->stats();
 }
 
 bool KvCachePool::can_admit(int s_src, int max_new_tokens) const {
@@ -903,71 +849,16 @@ void KvCachePool::release(SequenceKv& seq) {
   sweep_empty_slabs();
 }
 
-void KvCachePool::grow_arena(size_t min_extra) {
-  const size_t old_cap = tlsf_->capacity_bytes();
-  // Double to amortize the stand-in copy; a device-resident arena would
-  // extend the reservation instead (grow keeps offsets stable either way).
-  tlsf_->grow(std::max(old_cap, min_extra));
-  AlignedBuffer bigger(tlsf_->capacity_bytes());
-  if (!tlsf_buffer_.empty()) {
-    std::copy_n(tlsf_buffer_.data(), old_cap, bigger.data());
-  }
-  tlsf_buffer_ = std::move(bigger);
-}
-
 void KvCachePool::note_waste() {
-  // Resident footprint: arena frontier under kTlsf (live spans plus the
-  // holes below the highest one), tracked slab/span mallocs under kSlab.
-  const size_t resident = tlsf_ != nullptr
-                              ? tlsf_->resident_bytes()
-                              : tracker_.stats().current_device_bytes;
-  const size_t live = tlsf_ != nullptr ? tlsf_->live_bytes()
-                                       : blocks_in_use_ * block_bytes();
+  // Resident footprint: the slabs currently malloc'ed.
+  const size_t resident = tracker_.stats().current_device_bytes;
+  const size_t live = blocks_in_use_ * block_bytes();
   if (resident > live) {
     peak_waste_bytes_ = std::max(peak_waste_bytes_, resident - live);
   }
 }
 
 int KvCachePool::alloc_block() {
-  if (options_.arena == KvArenaKind::kTlsf) {
-    if (options_.slab_budget != nullptr) {
-      // As in the slab path below, gated callers cannot trip this: the
-      // byte-granular max_blocks() already counted the budget headroom.
-      TT_CHECK_MSG(
-          options_.slab_budget->try_acquire(budget_client_, tlsf_unit_),
-          "shared slab budget exhausted under an ungated allocation");
-    }
-    size_t offset = tlsf_->malloc(tlsf_unit_);
-    if (offset == memory::TlsfArena::kNoSpace) {
-      // Address space (not the byte gates) ran out: only possible for an
-      // unbounded pool, whose arena starts small — bounded arenas reserve
-      // their whole ceiling at construction.
-      grow_arena(tlsf_unit_);
-      offset = tlsf_->malloc(tlsf_unit_);
-      TT_CHECK_NE(offset, memory::TlsfArena::kNoSpace);
-    }
-    tracker_.on_malloc(tlsf_unit_);
-    if (options_.max_bytes > 0) {
-      TT_CHECK_LE(tracker_.stats().current_device_bytes, options_.max_bytes);
-    }
-    int block_id;
-    if (!free_ids_.empty()) {
-      block_id = free_ids_.back();
-      free_ids_.pop_back();
-    } else {
-      block_id = static_cast<int>(block_offsets_.size());
-      block_offsets_.push_back(kNoOffset);
-      block_refs_.push_back(0);
-    }
-    TT_CHECK_EQ(block_offsets_[static_cast<size_t>(block_id)], kNoOffset);
-    TT_CHECK_EQ(block_refs_[static_cast<size_t>(block_id)], 0);
-    block_offsets_[static_cast<size_t>(block_id)] = offset;
-    block_refs_[static_cast<size_t>(block_id)] = 1;
-    ++blocks_in_use_;
-    peak_blocks_in_use_ = std::max(peak_blocks_in_use_, blocks_in_use_);
-    note_waste();
-    return block_id;
-  }
   if (free_blocks_.empty()) {
     // Reuse a swept slab slot if one exists, else append a new slab.
     size_t slab_idx = slabs_.size();
@@ -1027,22 +918,6 @@ void KvCachePool::unref_block(int block_id) {
   int& refs = block_refs_[static_cast<size_t>(block_id)];
   TT_CHECK_GT(refs, 0);
   if (--refs > 0) return;
-  if (options_.arena == KvArenaKind::kTlsf) {
-    // The span goes straight back to the arena (coalescing with free
-    // neighbors) and the budget is credited immediately — kTlsf has no
-    // swept-later limbo between "block free" and "bytes returned".
-    size_t& offset = block_offsets_[static_cast<size_t>(block_id)];
-    tlsf_->free(offset);
-    offset = kNoOffset;
-    tracker_.on_free(tlsf_unit_);
-    if (options_.slab_budget != nullptr) {
-      options_.slab_budget->release(budget_client_, tlsf_unit_);
-    }
-    free_ids_.push_back(block_id);
-    --blocks_in_use_;
-    note_waste();
-    return;
-  }
   Slab& slab = slabs_[static_cast<size_t>(block_id / options_.blocks_per_slab)];
   TT_CHECK_GT(slab.live_blocks, 0);
   --slab.live_blocks;
@@ -1052,11 +927,6 @@ void KvCachePool::unref_block(int block_id) {
 }
 
 float* KvCachePool::block_ptr(int block_id) {
-  if (options_.arena == KvArenaKind::kTlsf) {
-    const size_t offset = block_offsets_[static_cast<size_t>(block_id)];
-    TT_CHECK_NE(offset, kNoOffset);
-    return reinterpret_cast<float*>(tlsf_buffer_.data() + offset);
-  }
   Slab& slab = slabs_[static_cast<size_t>(block_id / options_.blocks_per_slab)];
   TT_CHECK(!slab.buffer.empty());
   return reinterpret_cast<float*>(slab.buffer.data()) +
@@ -1069,7 +939,6 @@ const float* KvCachePool::block_ptr(int block_id) const {
 }
 
 void KvCachePool::sweep_empty_slabs() {
-  if (options_.arena == KvArenaKind::kTlsf) return;
   bool swept = false;
   std::vector<bool> freed(slabs_.size(), false);
   for (size_t i = 0; i < slabs_.size(); ++i) {
@@ -1092,7 +961,6 @@ void KvCachePool::sweep_empty_slabs() {
 }
 
 int KvCachePool::num_slabs() const {
-  if (options_.arena == KvArenaKind::kTlsf) return 0;
   int n = 0;
   for (const auto& slab : slabs_) {
     if (!slab.buffer.empty()) ++n;
@@ -1169,63 +1037,27 @@ void KvCachePool::check_invariants() const {
   TT_CHECK_EQ(unique, blocks_in_use_);
   TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
 
-  if (options_.arena == KvArenaKind::kTlsf) {
-    // Arena-side structure, then the id table against it: live ids map to
-    // distinct live spans of exactly one unit; dead ids sit on free_ids_
-    // exactly once; the arena, the tracker and the budget charge all agree
-    // on the live byte count.
-    tlsf_->check_invariants();
-    TT_CHECK_EQ(tlsf_->live_allocations(), blocks_in_use_);
-    TT_CHECK_EQ(tlsf_->live_bytes(), blocks_in_use_ * tlsf_unit_);
-    TT_CHECK_EQ(tracker_.stats().current_device_bytes,
-                blocks_in_use_ * tlsf_unit_);
-    std::unordered_set<size_t> offsets;
-    for (size_t b = 0; b < block_refs_.size(); ++b) {
-      const size_t offset = block_offsets_[b];
-      if (block_refs_[b] > 0) {
-        TT_CHECK_NE(offset, kNoOffset);
-        TT_CHECK_MSG(offsets.insert(offset).second,
-                     "blocks sharing arena offset " << offset);
-        TT_CHECK_EQ(tlsf_->span_bytes(offset), tlsf_unit_);
-      } else {
-        TT_CHECK_EQ(offset, kNoOffset);
-      }
-    }
-    std::vector<bool> in_free(block_refs_.size(), false);
-    for (const int b : free_ids_) {
-      const size_t idx = static_cast<size_t>(b);
-      TT_CHECK_MSG(!in_free[idx], "id " << b << " on free_ids_ twice");
-      in_free[idx] = true;
-      TT_CHECK_EQ(block_refs_[idx], 0);
-    }
-    for (size_t b = 0; b < block_refs_.size(); ++b) {
-      if (block_refs_[b] == 0) {
-        TT_CHECK_MSG(in_free[b], "free id " << b << " leaked off free_ids_");
-      }
-    }
-  } else {
-    const size_t per_slab = static_cast<size_t>(options_.blocks_per_slab);
-    std::vector<int> slab_live(slabs_.size(), 0);
-    for (size_t b = 0; b < expected.size(); ++b) {
-      if (expected[b] > 0) ++slab_live[b / per_slab];
-    }
-    for (size_t i = 0; i < slabs_.size(); ++i) {
-      TT_CHECK_EQ(slab_live[i], slabs_[i].live_blocks);
-      if (slabs_[i].buffer.empty()) TT_CHECK_EQ(slab_live[i], 0);
-    }
+  const size_t per_slab = static_cast<size_t>(options_.blocks_per_slab);
+  std::vector<int> slab_live(slabs_.size(), 0);
+  for (size_t b = 0; b < expected.size(); ++b) {
+    if (expected[b] > 0) ++slab_live[b / per_slab];
+  }
+  for (size_t i = 0; i < slabs_.size(); ++i) {
+    TT_CHECK_EQ(slab_live[i], slabs_[i].live_blocks);
+    if (slabs_[i].buffer.empty()) TT_CHECK_EQ(slab_live[i], 0);
+  }
 
-    std::vector<bool> in_free(block_refs_.size(), false);
-    for (const int b : free_blocks_) {
-      const size_t idx = static_cast<size_t>(b);
-      TT_CHECK_MSG(!in_free[idx], "block " << b << " on the free list twice");
-      in_free[idx] = true;
-      TT_CHECK_EQ(block_refs_[idx], 0);
-      TT_CHECK(!slabs_[idx / per_slab].buffer.empty());
-    }
-    for (size_t b = 0; b < block_refs_.size(); ++b) {
-      if (block_refs_[b] == 0 && !slabs_[b / per_slab].buffer.empty()) {
-        TT_CHECK_MSG(in_free[b], "free block " << b << " leaked off the list");
-      }
+  std::vector<bool> in_free(block_refs_.size(), false);
+  for (const int b : free_blocks_) {
+    const size_t idx = static_cast<size_t>(b);
+    TT_CHECK_MSG(!in_free[idx], "block " << b << " on the free list twice");
+    in_free[idx] = true;
+    TT_CHECK_EQ(block_refs_[idx], 0);
+    TT_CHECK(!slabs_[idx / per_slab].buffer.empty());
+  }
+  for (size_t b = 0; b < block_refs_.size(); ++b) {
+    if (block_refs_[b] == 0 && !slabs_[b / per_slab].buffer.empty()) {
+      TT_CHECK_MSG(in_free[b], "free block " << b << " leaked off the list");
     }
   }
   for (const auto& [key, id] : prompt_index_) {

@@ -61,7 +61,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -70,42 +69,25 @@
 #include "genserve/radix_tree.h"
 #include "memory/allocator.h"
 #include "memory/slab_budget.h"
-#include "memory/tlsf_arena.h"
 #include "model/config.h"
 #include "model/decoder.h"
 
 namespace turbo::genserve {
 
-// Storage backend for the pool's block arena.
-//  * kSlab (default): blocks are carved from fixed-size slabs; the budget
-//    is charged a whole slab at slab-malloc time and credited when an empty
-//    slab is swept. Bit-identical to the pre-arena pool.
-//  * kTlsf: blocks are variable-size ranges from one contiguous
-//    memory::TlsfArena; the budget is charged the block's exact span at
-//    allocation and credited the moment its last reference drops. Capacity,
-//    borrow and reclaim all become byte-granular — co-hosted pools with
-//    different block geometries stop rounding each other up to whole slabs.
-enum class KvArenaKind { kSlab, kTlsf };
-
 struct KvPoolOptions {
   int block_tokens = 16;    // token rows per block (per layer, K + V)
-  int blocks_per_slab = 32; // blocks per device slab (kSlab only)
+  int blocks_per_slab = 32; // blocks per device slab
   size_t max_bytes = 0;     // cap on slab footprint; 0 = unbounded
-  // Block storage backend (see KvArenaKind).
-  KvArenaKind arena = KvArenaKind::kSlab;
-  // kTlsf: initial arena reservation in bytes. 0 derives it — the byte
-  // ceiling (max_bytes / bounded budget total) when one exists, else a
-  // small default that grows by doubling on demand. Offsets are stable
-  // across growth; only the backing stand-in buffer reallocates.
-  size_t tlsf_initial_bytes = 0;
   // When false, admit() never matches prompts: every sequence gets private
-  // cross blocks (fork()'s CoW still works). The A/B switch for the
-  // prefix-sharing benchmark.
+  // cross blocks (fork()'s CoW still works). The reference arm of
+  // GenerationServer.PrefixSharingDoesNotChangeOutputs.
   bool enable_prefix_sharing = true;
   // When false, plan_causal() never matches and retiring causal sequences
   // donate nothing: causal admits behave like exact-match-only sharing
-  // (i.e. no sharing at all, since every turn's prompt differs). The A/B
-  // switch for the radix-prefix benchmark. Seq2seq paths ignore it.
+  // (i.e. no sharing at all, since every turn's prompt differs). Seq2seq
+  // paths ignore it. The reference arm of the GenerationServer tests
+  // DecoderOnlyRadixSharingDoesNotChangeOutputs and
+  // RadixTierMoreThanDoublesWarmTurnConcurrency.
   bool enable_radix_tree = true;
   // Test hooks: override the prompt hash (find_share collision regression)
   // and the radix chunk hash (forced-collision tree tests). Empty = FNV-1a.
@@ -494,18 +476,15 @@ class KvCachePool {
   bool try_ensure_token(SequenceKv& seq, int t);
 
   // Device-activity stats (slab mallocs/frees, current + peak footprint),
-  // comparable with ModelAwareAllocator::stats(). Under kTlsf the tracker
-  // counts per-block spans, so current_device_bytes equals the budget
-  // charge exactly (no slab rounding).
+  // comparable with ModelAwareAllocator::stats().
   const memory::AllocatorStats& stats() const { return tracker_.stats(); }
-  KvArenaKind arena_kind() const { return options_.arena; }
-  // Byte granularity of this pool's budget traffic: what one reclaimed
-  // unit returns to the shared budget — a whole slab under kSlab, one
-  // block span under kTlsf. Reclaim/demand sizing in the multi-model
-  // server quantizes to this instead of hard-coding slab math.
-  size_t reclaim_grain_bytes() const;
-  // Arena counters when arena_kind() == kTlsf; nullopt under kSlab.
-  std::optional<memory::TlsfArenaStats> tlsf_stats() const;
+  // Bytes of one slab: the unit of this pool's budget traffic (charged at
+  // slab malloc, credited at sweep), so what one reclaimed unit returns to
+  // the shared budget. Reclaim/demand sizing in the multi-model server
+  // quantizes to it.
+  size_t slab_bytes() const {
+    return static_cast<size_t>(options_.blocks_per_slab) * block_bytes();
+  }
   // Bytes in unique physical blocks held by live sequences (the true
   // working set; a block shared by N sequences counts once).
   size_t bytes_in_use() const { return blocks_in_use_ * block_bytes(); }
@@ -518,8 +497,7 @@ class KvCachePool {
   // High-water mark of the INSTANTANEOUS overshoot of device footprint
   // over the live working set (resident bytes minus live block bytes,
   // sampled at every allocation-state change). This is the fragmentation
-  // number: whole-slab pools pay partial slabs and not-yet-swept empties
-  // here; TLSF pools pay only the holes below the arena frontier. Unlike
+  // number: partial slabs and not-yet-swept empties. Unlike
   // comparing the separate peaks of resident and live bytes (which both
   // saturate under load and cancel), this stays time-correlated.
   size_t peak_waste_bytes() const { return peak_waste_bytes_; }
@@ -579,9 +557,6 @@ class KvCachePool {
     bool creator_live = false;    // a live sequence owns initialization
   };
 
-  size_t slab_bytes() const {
-    return static_cast<size_t>(options_.blocks_per_slab) * block_bytes();
-  }
   size_t self_blocks_for(int max_new_tokens) const;
   size_t cross_blocks_for(int s_src) const;
   uint64_t prompt_hash(const std::vector<int>& prompt_tokens) const;
@@ -611,13 +586,8 @@ class KvCachePool {
   const float* block_ptr(int block_id) const;
   void release(SequenceKv& seq);  // called by ~SequenceKv
   // Drop freed-slab block ids from the free list and release the buffers
-  // of slabs that no longer hold any live block. No-op under kTlsf (spans
-  // return to the arena the moment their refcount hits zero).
+  // of slabs that no longer hold any live block.
   void sweep_empty_slabs();
-  // kTlsf: extend the arena (and its backing stand-in buffer) by at least
-  // `min_extra` bytes, doubling to amortize. Unbounded pools only — a
-  // bounded arena reserves its ceiling up front.
-  void grow_arena(size_t min_extra);
   // Sample resident - live into peak_waste_bytes_; called after every
   // allocation-state change (block alloc/free, slab sweep).
   void note_waste();
@@ -630,18 +600,6 @@ class KvCachePool {
   std::vector<Slab> slabs_;
   std::vector<int> free_blocks_;
   std::vector<int> block_refs_;  // per global block id; 0 = free
-  // kTlsf state (unused under kSlab). Block ids stay dense ints — the
-  // SequenceKv/share/radix layers are arena-agnostic — but each id maps to
-  // an arena span instead of a slab slot. tlsf_unit_ is block_bytes()
-  // rounded up to a TLSF size-class boundary; charging the rounded span
-  // keeps every free hole a multiple of the only allocation size, so the
-  // byte gates (max_blocks) imply the class-rounded search cannot fail.
-  std::unique_ptr<memory::TlsfArena> tlsf_;
-  AlignedBuffer tlsf_buffer_;        // host stand-in backing arena offsets
-  size_t tlsf_unit_ = 0;             // charged bytes per block
-  std::vector<size_t> block_offsets_;  // id -> arena offset; kNoOffset free
-  std::vector<int> free_ids_;          // recycled kTlsf block ids
-  static constexpr size_t kNoOffset = ~static_cast<size_t>(0);
   size_t blocks_in_use_ = 0;
   size_t peak_blocks_in_use_ = 0;
   size_t peak_waste_bytes_ = 0;

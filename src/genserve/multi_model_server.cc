@@ -161,26 +161,19 @@ void MultiModelGenerationServer::validate(
 
 void MultiModelGenerationServer::submit(serving::GenerationRequest request,
                                         serving::TokenCallback on_token) {
+  // Validate before placing: a rejected request must leave no trace in
+  // the router (routed counters, backlog charge, round-robin cursor). The
+  // routed replica's submit then cannot reject it.
+  validate(request);
   Engine* engine = route(request);
-  TT_CHECK_MSG(engine != nullptr,
-               "generation request " << request.id << " routes to unknown "
-                                     << "model '" << request.model << "' v"
-                                     << request.model_version);
-  const int64_t id = request.id;
-  TT_CHECK_MSG(ids_in_flight_.insert(id).second,
-               "duplicate in-flight generation request id " << id);
+  TT_CHECK_MSG(ids_in_flight_.insert(request.id).second,
+               "duplicate in-flight generation request id " << request.id);
   // The Router fixes the replica at submit time (kRoute span + counters);
   // the sequence is served entirely by that replica.
   const turbo::router::RouteDecision d =
       engine->router->place(request, static_cast<double>(iteration_));
-  try {
-    engine->set->replica(d.replica).submit(std::move(request),
-                                           std::move(on_token));
-  } catch (...) {
-    // Validation failed on the routed engine: the id never went in flight.
-    ids_in_flight_.erase(id);
-    throw;
-  }
+  engine->set->replica(d.replica).submit(std::move(request),
+                                         std::move(on_token));
 }
 
 std::vector<size_t> MultiModelGenerationServer::step_order() const {
@@ -244,11 +237,9 @@ size_t MultiModelGenerationServer::reclaim_for_starved_models() {
     GenerationServer& m = su.engine->set->replica(su.replica);
     if (!m.scheduler().admission_blocked()) continue;
     const KvCachePool& pool = m.pool();
-    // Demand and targets quantize to the pool's reclaim grain: a whole
-    // slab under kSlab (bit-identical legacy sizing), one block span under
-    // kTlsf — where a model starved for one small block no longer forces a
-    // donor to surrender a whole slab.
-    const size_t grain = pool.reclaim_grain_bytes();
+    // Demand and targets quantize to whole slabs: the pool's budget
+    // traffic moves one slab at a time.
+    const size_t grain = pool.slab_bytes();
     const size_t used = pool.stats().current_device_bytes;
     // Guarantees are reclaim floors: the owner only claws back up to its
     // declared share. Above it, this replica is itself a borrower and

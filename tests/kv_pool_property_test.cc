@@ -191,33 +191,6 @@ TEST(KvPoolProperty, RandomInterleavingsBoundedPool) {
   }
 }
 
-TEST(KvPoolProperty, RandomInterleavingsBoundedPoolTlsfArena) {
-  // Same tight byte cap as the slab variant, but block storage comes from
-  // the TLSF arena: per-block spans instead of whole slabs. block_bytes is
-  // already a TLSF class boundary for this geometry, so the cap admits the
-  // same 48 blocks and every harness invariant must hold unchanged.
-  auto opts = base_opts();
-  const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
-                            KvCachePool(tiny(), opts).block_bytes();
-  opts.arena = KvArenaKind::kTlsf;
-  opts.max_bytes = 6 * slab_bytes;
-  for (uint64_t seed = 15; seed <= 18; ++seed) {
-    run_interleaving(seed, opts);
-  }
-}
-
-TEST(KvPoolProperty, RandomInterleavingsTlsfArenaGrowth) {
-  // Unbounded TLSF pool seeded with a deliberately tiny arena: every
-  // interleaving forces repeated grow_arena() doublings (arena extension +
-  // backing-buffer move) under live traffic.
-  auto opts = base_opts();
-  opts.arena = KvArenaKind::kTlsf;
-  opts.tlsf_initial_bytes = 2 * KvCachePool(tiny(), base_opts()).block_bytes();
-  for (uint64_t seed = 25; seed <= 26; ++seed) {
-    run_interleaving(seed, opts);
-  }
-}
-
 TEST(KvPoolProperty, RandomInterleavingsSharingDisabled) {
   // With prefix matching off every admit owns private cross blocks, but
   // fork CoW still shares; all invariants must hold identically.
@@ -443,20 +416,6 @@ TEST(KvPoolProperty, RandomPreemptRequeueInterleavingsOversubscribed) {
                             KvCachePool(tiny(), opts).block_bytes();
   opts.max_bytes = 2 * slab_bytes;  // 16 blocks: a couple of sequences
   for (uint64_t seed = 31; seed <= 36; ++seed) {
-    run_preemption_interleaving(seed, opts);
-  }
-}
-
-TEST(KvPoolProperty, RandomPreemptRequeueOversubscribedTlsfArena) {
-  // The oversubscribed preempt/requeue churn on TLSF spans: park/resume
-  // cycles free and reallocate arbitrary blocks, so the arena coalesces
-  // and re-splits constantly while the byte cap stays authoritative.
-  auto opts = base_opts();
-  const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
-                            KvCachePool(tiny(), opts).block_bytes();
-  opts.arena = KvArenaKind::kTlsf;
-  opts.max_bytes = 2 * slab_bytes;
-  for (uint64_t seed = 44; seed <= 49; ++seed) {
     run_preemption_interleaving(seed, opts);
   }
 }
@@ -805,28 +764,6 @@ TEST(KvPoolProperty, RandomCausalRadixInterleavingsBoundedPool) {
   EXPECT_GT(total.radix_evictions, 0u);
 }
 
-TEST(KvPoolProperty, RandomCausalRadixBoundedPoolTlsfArena) {
-  // Radix caching + LRU eviction + preemption over TLSF spans: cached
-  // nodes pin arena blocks long after their sequences die, so frees land
-  // in eviction order, not allocation order — maximal coalescing stress.
-  auto opts = base_opts();
-  const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
-                            KvCachePool(tiny(), opts).block_bytes();
-  opts.arena = KvArenaKind::kTlsf;
-  opts.max_bytes = 4 * slab_bytes;
-  CausalRunStats total;
-  for (uint64_t seed = 67; seed <= 70; ++seed) {
-    CausalRunStats s;
-    run_causal_radix_interleaving(seed, opts, &s);
-    total.preempts += s.preempts;
-    total.radix_hits += s.radix_hits;
-    total.radix_evictions += s.radix_evictions;
-  }
-  EXPECT_GT(total.preempts, 0u);
-  EXPECT_GT(total.radix_hits, 0u);
-  EXPECT_GT(total.radix_evictions, 0u);
-}
-
 TEST(KvPoolProperty, RandomCausalRadixDisabled) {
   // enable_radix_tree=false: plans never match, donations are no-ops, and
   // the same interleavings still conserve refcounts and drain to zero.
@@ -1147,20 +1084,6 @@ TEST(KvPoolProperty, ChunkedPrefillBoundedPoolChurn) {
                             KvCachePool(tiny(), opts).block_bytes();
   opts.max_bytes = 3 * slab_bytes;
   for (uint64_t seed = 91; seed <= 95; ++seed) {
-    const int quantum = 3 + static_cast<int>(seed % 6);
-    run_chunked_prefill_property(seed, opts, quantum, /*chunk_tokens=*/0);
-  }
-}
-
-TEST(KvPoolProperty, ChunkedPrefillBoundedPoolChurnTlsfArena) {
-  // The same chunked-prefill/preemption/radix fight over 24 blocks, drawn
-  // from a TLSF arena instead of whole slabs.
-  auto opts = base_opts();
-  const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
-                            KvCachePool(tiny(), opts).block_bytes();
-  opts.arena = KvArenaKind::kTlsf;
-  opts.max_bytes = 3 * slab_bytes;
-  for (uint64_t seed = 96; seed <= 99; ++seed) {
     const int quantum = 3 + static_cast<int>(seed % 6);
     run_chunked_prefill_property(seed, opts, quantum, /*chunk_tokens=*/0);
   }

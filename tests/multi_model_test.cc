@@ -121,6 +121,51 @@ TEST(MultiModelServer, UnknownRoutesAndDuplicateIdsThrow) {
   EXPECT_EQ(server.run_to_completion().size(), 1u);
 }
 
+TEST(MultiModelServer, RejectedRequestLeavesTheRouterUntouched) {
+  // A request the replica rejects (here: an empty source) must not move
+  // the router: no routed count, no backlog charge, no round-robin step.
+  // The next placement must match a server that never saw the request.
+  Rng rng(0x5E7);
+  const auto first = make_request(rng, 0, 5, 4, "m");
+  auto bad = make_request(rng, 1, 5, 4, "m");
+  bad.src_tokens.clear();
+  const auto next = make_request(rng, 2, 5, 4, "m");
+
+  const auto serve = [&](bool submit_bad) {
+    MultiModelOptions options;
+    options.engine = small_engine();
+    options.router.policy = serving::DispatchPolicy::kRoundRobin;
+    options.router.use_observed_cost = false;
+    auto server = std::make_unique<MultiModelGenerationServer>(options);
+    server->register_bundle(make_bundle("m", 1, tiny(), 3), 0,
+                            /*overrides=*/{}, /*replicas=*/2);
+    server->submit(first);
+    if (submit_bad) {
+      EXPECT_THROW(server->submit(bad), CheckError);
+      EXPECT_EQ(server->metrics()->counter_value("router.routed_total"), 1u);
+    }
+    server->submit(next);
+    return server;
+  };
+  const auto clean = serve(false);
+  const auto rejected = serve(true);
+
+  const auto& reg = *rejected->metrics();
+  const auto& ref = *clean->metrics();
+  EXPECT_EQ(reg.counter_value("router.routed_total"), 2u);
+  // Round-robin put the second accepted request on replica 1.
+  EXPECT_EQ(reg.counter_value("router.m:v1.routed"), 1u);
+  EXPECT_EQ(reg.counter_value("router.m:v1#1.routed"), 1u);
+  for (const std::string label : {"m:v1", "m:v1#1"}) {
+    const std::string p = "router." + label + ".";
+    EXPECT_EQ(reg.counter_value(p + "routed"), ref.counter_value(p + "routed"))
+        << label;
+    EXPECT_EQ(reg.gauge_value(p + "backlog"), ref.gauge_value(p + "backlog"))
+        << label;
+  }
+  EXPECT_EQ(rejected->run_to_completion().size(), 2u);
+}
+
 TEST(MultiModelServer, HotRegistrationMovesTheLatestRoute) {
   MultiModelGenerationServer server;
   auto v1 = make_bundle("m", 1, tiny(), /*seed=*/101);
@@ -557,6 +602,72 @@ TEST(MultiModelServer, DecoderOnlyBundleServesAlongsideSeq2Seq) {
   EXPECT_EQ(stats[0].served, seq_requests.size());
   EXPECT_EQ(stats[1].name, "g");
   EXPECT_EQ(stats[1].served, gpt_requests.size());
+}
+
+TEST(MultiModelServer, MixedBlockGeometriesShareOneSlabBudget) {
+  // Two decoder-only bundles with different block_tokens (1 KiB and
+  // 1.5 KiB blocks, so differently sized slabs) contend for one shared
+  // byte budget: every borrow and reclaim moves a whole slab of the
+  // donor's geometry. Outputs must stay bit-identical to dedicated
+  // uncontended servers, the budget must actually contend, and it must
+  // never be over-committed.
+  const auto cfg = model::ModelConfig::tiny_causal(2, 32, 2, 64, 50);
+  auto g1 = make_decoder_only_bundle("g1", 1, cfg, /*seed=*/13);
+  auto g2 = make_decoder_only_bundle("g2", 1, cfg, /*seed=*/17);
+  const auto engine = [](int block_tokens) {
+    GenServerOptions o = small_engine();
+    o.pool.block_tokens = block_tokens;
+    return o;
+  };
+
+  Rng rng(0xF4A6);
+  std::vector<serving::GenerationRequest> reqs1, reqs2;
+  for (int i = 0; i < 6; ++i) {
+    reqs1.push_back(make_request(rng, i, 6 + i, 12, "g1"));
+    reqs2.push_back(make_request(rng, 100 + i, 5 + i, 12, "g2"));
+  }
+
+  const auto dedicated = [&](const std::shared_ptr<ModelBundle>& bundle,
+                             const std::vector<serving::GenerationRequest>&
+                                 reqs,
+                             int block_tokens) {
+    GenerationServer server(bundle, engine(block_tokens));
+    for (const auto& r : reqs) server.submit(r);
+    std::map<int64_t, std::vector<int>> tokens;
+    for (auto& resp : server.run_to_completion()) {
+      tokens[resp.request_id] = std::move(resp.tokens);
+    }
+    return tokens;
+  };
+  const auto ref1 = dedicated(g1, reqs1, 4);
+  const auto ref2 = dedicated(g2, reqs2, 6);
+
+  MultiModelOptions options;
+  options.engine = engine(4);
+  // Tight enough that twelve sequences contend and preempt across the
+  // guarantee floors, but each guarantee still covers one worst-case
+  // sequence (~12 KiB) so every engine always makes progress.
+  options.total_kv_bytes = 24 * 1024;
+  MultiModelGenerationServer server(options);
+  server.register_bundle(g1, 12 * 1024, engine(4));
+  server.register_bundle(g2, 12 * 1024, engine(6));
+  for (const auto& r : reqs1) server.submit(r);
+  for (const auto& r : reqs2) server.submit(r);
+  std::map<int64_t, std::vector<int>> tokens;
+  for (auto& resp : server.run_to_completion()) {
+    tokens[resp.request_id] = std::move(resp.tokens);
+  }
+
+  ASSERT_EQ(tokens.size(), reqs1.size() + reqs2.size());
+  for (const auto& [id, toks] : ref1) EXPECT_EQ(tokens.at(id), toks);
+  for (const auto& [id, toks] : ref2) EXPECT_EQ(tokens.at(id), toks);
+  size_t preemptions = 0;
+  for (const auto& s : server.stats()) preemptions += s.pool.preemptions;
+  EXPECT_GT(preemptions, 0u) << "the budget never contended";
+  // Radix-cached prefixes stay charged after drain, so the budget is not
+  // empty here; it was just never over-committed.
+  EXPECT_LE(server.budget().snapshot().peak_used_bytes,
+            options.total_kv_bytes);
 }
 
 // ------------------------------------------------------------ async shell --
