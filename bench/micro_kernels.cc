@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,6 +35,79 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(256)->Arg(512);
+
+// One pass over every GEMM weight of perfbench's tenant_mix models (hidden
+// 256, intermediate 1024, 2 layers; hidden 192, intermediate 768, 3 layers;
+// vocab 1000; encoder and decoder): ~28 MB of fp32 weights, far beyond L2,
+// at the decode step's row counts. `packed` runs the packed-weight gemm the
+// models run; `raw` the raw-pointer gemm on the same row-major matrices,
+// which packs each B into scratch first.
+struct WeightSetMatrix {
+  int k = 0, n = 0;
+  std::vector<float> raw;
+  kernels::PackedWeight packed;
+};
+
+const std::vector<WeightSetMatrix>& tenant_weight_set() {
+  static const std::vector<WeightSetMatrix> set = [] {
+    std::vector<std::pair<int, int>> shapes;
+    for (const auto& [H, I, layers] : {std::tuple{256, 1024, 2},
+                                      std::tuple{192, 768, 3}}) {
+      for (int l = 0; l < layers; ++l) {
+        // Encoder layer, then decoder layer.
+        for (const auto& kn : {std::pair{H, 3 * H}, {H, H}, {H, I}, {I, H}}) {
+          shapes.push_back(kn);
+        }
+        for (const auto& kn : {std::pair{H, 3 * H}, {H, H}, {H, H}, {H, 2 * H},
+                              {H, H}, {H, I}, {I, H}}) {
+          shapes.push_back(kn);
+        }
+      }
+      shapes.push_back({H, 1000});  // logits projection
+    }
+    Rng rng(6);
+    std::vector<WeightSetMatrix> mats;
+    for (const auto& [k, n] : shapes) {
+      WeightSetMatrix w{k, n, std::vector<float>(static_cast<size_t>(k) * n),
+                        {}};
+      rng.fill_uniform(w.raw.data(), w.raw.size(), -1, 1);
+      w.packed = kernels::PackedWeight::pack(w.raw.data(), k, n);
+      mats.push_back(std::move(w));
+    }
+    return mats;
+  }();
+  return set;
+}
+
+void BM_DecodeWeightSet(benchmark::State& state, bool packed) {
+  const int m = static_cast<int>(state.range(0));
+  const auto& mats = tenant_weight_set();
+  Rng rng(7);
+  std::vector<float> a(static_cast<size_t>(m) * 1024), c(a.size());
+  rng.fill_uniform(a.data(), a.size(), -1, 1);
+  long flops = 0, bytes = 0;
+  for (const auto& w : mats) {
+    flops += 2L * m * w.k * w.n;
+    bytes += static_cast<long>(sizeof(float)) * w.k * w.n;
+  }
+  for (auto _ : state) {
+    for (const auto& w : mats) {
+      if (packed) {
+        kernels::gemm(a.data(), w.packed, c.data(), m);
+      } else {
+        kernels::gemm(a.data(), w.raw.data(), c.data(), m, w.n, w.k);
+      }
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * flops);
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK_CAPTURE(BM_DecodeWeightSet, packed, true)
+    ->Arg(1)->Arg(7)->Arg(15)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DecodeWeightSet, raw, false)
+    ->Arg(1)->Arg(7)->Arg(15)->Arg(50)->Unit(benchmark::kMillisecond);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const long rows = state.range(0), cols = state.range(1);

@@ -38,20 +38,137 @@ using Ops = simd::avx512::Ops;
 #pragma GCC pop_options
 #endif  // TT_SIMD_X86
 
+// A variant's serial kernel over all m rows: panel_gemm reads B packed,
+// dot_gemm reads a row-major B[n,k].
+using SerialFn = void (*)(const float* a, const float* b, float* c, int m,
+                          int n, int k, float alpha, float beta);
+
+SerialFn panel_kernel(detail::Isa isa) {
+#if defined(TT_SIMD_X86)
+  if (isa == detail::Isa::kAvx512) return avx512::panel_gemm;
+  if (isa == detail::Isa::kAvx2) return avx2::panel_gemm;
+#endif
+  (void)isa;
+  return portable::panel_gemm;
+}
+
+SerialFn dot_kernel(detail::Isa isa) {
+#if defined(TT_SIMD_X86)
+  if (isa == detail::Isa::kAvx512) return avx512::dot_gemm;
+  if (isa == detail::Isa::kAvx2) return avx2::dot_gemm;
+#endif
+  (void)isa;
+  return portable::dot_gemm;
+}
+
+// Rows are independent and each C element's arithmetic is fixed, so the
+// split into 64-row blocks (and the thread count) cannot change a bit.
+void split_rows(SerialFn kernel, const float* a, const float* b, float* c,
+                int m, int n, int k, float alpha, float beta) {
+  const int blocks = (m + kBlockM - 1) / kBlockM;
+#pragma omp parallel for schedule(static) if (blocks > 1)
+  for (int blk = 0; blk < blocks; ++blk) {
+    const int i0 = blk * kBlockM;
+    kernel(a + static_cast<long>(i0) * k, b, c + static_cast<long>(i0) * n,
+           std::min(kBlockM, m - i0), n, k, alpha, beta);
+  }
+}
+
+size_t panel_bytes(int k, int n) {
+  return sizeof(float) * static_cast<size_t>(k) * static_cast<size_t>(n);
+}
+
+// Writes row-major b[k, n] into `panels` in PackedWeight's layout.
+void pack_panels(const float* b, int k, int n, float* panels) {
+  constexpr int kPanel = PackedWeight::kPanelWidth;
+  for (int j0 = 0; j0 < n; j0 += kPanel) {
+    const int pw = std::min(kPanel, n - j0);
+    float* panel = panels + static_cast<long>(j0) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      const float* row = b + static_cast<long>(kk) * n + j0;
+      std::copy(row, row + pw, panel + static_cast<long>(kk) * pw);
+    }
+  }
+}
+
+// The raw-pointer gemm's B in panel layout: B itself when it is one panel
+// (n <= kPanelWidth: row-major is then the layout), else packed into this
+// thread's scratch buffer, which only grows.
+const float* as_panels(const float* b, int k, int n) {
+  if (n <= PackedWeight::kPanelWidth) return b;
+  thread_local AlignedBuffer scratch;
+  if (scratch.size() < panel_bytes(k, n)) {
+    scratch = AlignedBuffer(panel_bytes(k, n));
+  }
+  float* panels = reinterpret_cast<float*>(scratch.data());
+  pack_panels(b, k, n, panels);
+  return panels;
+}
+
 }  // namespace
+
+PackedWeight PackedWeight::pack(const float* b, int k, int n) {
+  TT_CHECK_GE(k, 0);
+  TT_CHECK_GE(n, 0);
+  auto storage = std::make_shared<AlignedBuffer>(panel_bytes(k, n));
+  pack_panels(b, k, n, reinterpret_cast<float*>(storage->data()));
+  PackedWeight w;
+  w.k_ = k;
+  w.n_ = n;
+  w.storage_ = std::move(storage);
+  return w;
+}
+
+Tensor PackedWeight::unpack() const {
+  TT_CHECK(defined());
+  Tensor t = Tensor::owned(Shape{k_, n_});
+  float* out = t.data<float>();
+  for (int j0 = 0; j0 < n_; j0 += kPanelWidth) {
+    const int pw = std::min(kPanelWidth, n_ - j0);
+    const float* panel = data() + static_cast<long>(j0) * k_;
+    for (int kk = 0; kk < k_; ++kk) {
+      const float* row = panel + static_cast<long>(kk) * pw;
+      std::copy(row, row + pw, out + static_cast<long>(kk) * n_ + j0);
+    }
+  }
+  return t;
+}
 
 namespace detail {
 
-GemmFn gemm_variant(Isa isa) {
-  if (!isa_supported(isa)) return nullptr;
-#if defined(TT_SIMD_X86)
-  if (isa == Isa::kAvx512) return avx512::gemm_serial;
-  if (isa == Isa::kAvx2) return avx2::gemm_serial;
-#endif
-  return portable::gemm_serial;
+void gemm(Isa isa, const float* a, const float* b, float* c, int m, int n,
+          int k, bool trans_b, float alpha, float beta) {
+  TT_CHECK_GE(m, 0);
+  TT_CHECK_GE(n, 0);
+  TT_CHECK_GE(k, 0);
+  if (m == 0 || n == 0) return;
+  if (trans_b) {
+    split_rows(dot_kernel(isa), a, b, c, m, n, k, alpha, beta);
+  } else {
+    split_rows(panel_kernel(isa), a, as_panels(b, k, n), c, m, n, k, alpha,
+               beta);
+  }
+}
+
+void gemm(Isa isa, const float* a, const PackedWeight& b, float* c, int m,
+          float alpha, float beta) {
+  TT_CHECK(b.defined());
+  TT_CHECK_GE(m, 0);
+  if (m == 0 || b.n() == 0) return;
+  split_rows(panel_kernel(isa), a, b.data(), c, m, b.n(), b.k(), alpha, beta);
 }
 
 }  // namespace detail
+
+void gemm(const float* a, const float* b, float* c, int m, int n, int k,
+          bool trans_b, float alpha, float beta) {
+  detail::gemm(detail::best_isa(), a, b, c, m, n, k, trans_b, alpha, beta);
+}
+
+void gemm(const float* a, const PackedWeight& b, float* c, int m, float alpha,
+          float beta) {
+  detail::gemm(detail::best_isa(), a, b, c, m, alpha, beta);
+}
 
 void gemm_ref(const float* a, const float* b, float* c, int m, int n, int k,
               bool trans_b, float alpha, float beta) {
@@ -66,25 +183,6 @@ void gemm_ref(const float* a, const float* b, float* c, int m, int n, int k,
       float* out = &c[static_cast<long>(i) * n + j];
       *out = alpha * static_cast<float>(acc) + beta * *out;
     }
-  }
-}
-
-void gemm(const float* a, const float* b, float* c, int m, int n, int k,
-          bool trans_b, float alpha, float beta) {
-  TT_CHECK_GE(m, 0);
-  TT_CHECK_GE(n, 0);
-  TT_CHECK_GE(k, 0);
-  if (m == 0 || n == 0) return;
-
-  static const detail::GemmFn kernel = detail::gemm_variant(detail::best_isa());
-  // Rows are independent and each C element's arithmetic is fixed, so the
-  // split into 64-row blocks (and the thread count) cannot change a bit.
-  const int blocks = (m + kBlockM - 1) / kBlockM;
-#pragma omp parallel for schedule(static) if (blocks > 1)
-  for (int blk = 0; blk < blocks; ++blk) {
-    const int i0 = blk * kBlockM;
-    kernel(a + static_cast<long>(i0) * k, b, c + static_cast<long>(i0) * n,
-           std::min(kBlockM, m - i0), n, k, trans_b, alpha, beta);
   }
 }
 

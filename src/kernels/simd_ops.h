@@ -12,8 +12,10 @@
 // loadm (masked-off lanes read 0), store, storem, mask(n) (the first n
 // lanes), mul, fma and sum16 (one fixed reduction tree over 16 lanes held in
 // 16 / W vectors: l + (l+8), then l + (l+4), l + (l+2), l + (l+1)); plus the
-// GEMM's tile sizes, kStripVecs (vectors per column strip) and kDotRows /
-// kDotCols (the transposed tile). Every operation rounds once per element,
+// tile sizes: the GEMM's packed-panel tile of up to kTileRows rows by
+// kPanelVecs vectors (kPanelVecs * W divides PackedWeight::kPanelWidth) and
+// its transposed tile kDotRows x kDotCols, and paged attention's av strip of
+// kStripVecs vectors. Every operation rounds once per element,
 // so the three variants give the same bits for the same sequence of calls.
 //
 // The x86 variants use GCC's target pragmas, which clang lacks; other
@@ -68,6 +70,8 @@ struct Ops {
   using V = float;
   using Mask = bool;
   static constexpr int W = 1;
+  static constexpr int kTileRows = 4;
+  static constexpr int kPanelVecs = 4;
   static constexpr int kStripVecs = 4;
   static constexpr int kDotRows = 1;
   static constexpr int kDotCols = 1;
@@ -112,6 +116,10 @@ struct Ops {
   using V = __m256;
   using Mask = __m256i;
   static constexpr int W = 8;
+  // 4 x 3 accumulators, 3 B vectors and one broadcast fill the 16 ymm
+  // registers.
+  static constexpr int kTileRows = 4;
+  static constexpr int kPanelVecs = 3;
   static constexpr int kStripVecs = 3;
   static constexpr int kDotRows = 2;
   static constexpr int kDotCols = 2;
@@ -142,6 +150,10 @@ struct Ops {
   using V = __m512;
   using Mask = __mmask16;
   static constexpr int W = 16;
+  // 8 x 3 accumulators, 3 B vectors and one broadcast take 28 of the 32 zmm
+  // registers.
+  static constexpr int kTileRows = 8;
+  static constexpr int kPanelVecs = 3;
   static constexpr int kStripVecs = 4;
   static constexpr int kDotRows = 4;
   static constexpr int kDotCols = 4;

@@ -13,14 +13,9 @@ SequenceClassifier::SequenceClassifier(ModelConfig config, int num_classes,
   TT_CHECK_GT(num_classes, 1);
   Rng rng(seed ^ 0xc1a55f1e);
   const int H = encoder_.config().hidden;
-  pooler_weight_ = Tensor::owned(Shape{H, H});
-  rng.fill_normal(pooler_weight_.data<float>(),
-                  static_cast<size_t>(pooler_weight_.numel()), 0.0f, 0.02f);
+  pooler_weight_ = random_weight(rng, H, H);
   pooler_bias_ = Tensor::zeros(Shape{H});
-  classifier_weight_ = Tensor::owned(Shape{H, num_classes});
-  rng.fill_normal(classifier_weight_.data<float>(),
-                  static_cast<size_t>(classifier_weight_.numel()), 0.0f,
-                  0.02f);
+  classifier_weight_ = random_weight(rng, H, num_classes);
   classifier_bias_ = Tensor::zeros(Shape{num_classes});
 }
 
@@ -40,15 +35,14 @@ Tensor SequenceClassifier::classify(const Tensor& ids,
     std::copy(src, src + H, cls.data<float>() + static_cast<long>(b) * H);
   }
   Tensor pooled = Tensor::owned(Shape{B, H});
-  kernels::gemm(cls.data<float>(), pooler_weight_.data<float>(),
-                pooled.data<float>(), B, H, H);
+  kernels::gemm(cls.data<float>(), pooler_weight_, pooled.data<float>(), B);
   kernels::add_bias(pooled.data<float>(), pooler_bias_.data<float>(), B, H);
   float* p = pooled.data<float>();
   for (long i = 0; i < pooled.numel(); ++i) p[i] = std::tanh(p[i]);
 
   Tensor logits = Tensor::owned(Shape{B, num_classes_});
-  kernels::gemm(pooled.data<float>(), classifier_weight_.data<float>(),
-                logits.data<float>(), B, num_classes_, H);
+  kernels::gemm(pooled.data<float>(), classifier_weight_, logits.data<float>(),
+                B);
   kernels::add_bias(logits.data<float>(), classifier_bias_.data<float>(), B,
                     num_classes_);
   return logits;

@@ -4,6 +4,7 @@
 // text", §6.3).
 #pragma once
 
+#include "kernels/gemm.h"
 #include "model/encoder.h"
 
 namespace turbo::model {
@@ -26,8 +27,10 @@ class SequenceClassifier {
  private:
   EncoderModel encoder_;
   int num_classes_;
-  Tensor pooler_weight_, pooler_bias_;      // [H, H], [H]
-  Tensor classifier_weight_, classifier_bias_;  // [H, C], [C]
+  kernels::PackedWeight pooler_weight_;      // [H, H]
+  Tensor pooler_bias_;                       // [H]
+  kernels::PackedWeight classifier_weight_;  // [H, C]
+  Tensor classifier_bias_;                   // [C]
 };
 
 }  // namespace turbo::model

@@ -123,8 +123,7 @@ void Seq2SeqDecoder::init_cross_attention(const Tensor& memory,
   std::vector<float> kv(static_cast<size_t>(s_src) * 2 * H);
   for (int layer = 0; layer < config_.num_layers; ++layer) {
     const auto& w = weights_.layers[static_cast<size_t>(layer)];
-    kernels::gemm(memory.data<float>(), w.cross_kv_weight.data<float>(),
-                  kv.data(), s_src, 2 * H, H);
+    kernels::gemm(memory.data<float>(), w.cross_kv_weight, kv.data(), s_src);
     kernels::add_bias(kv.data(), w.cross_kv_bias.data<float>(), s_src, 2 * H);
     // kv row s is [K | V], each an [H] = [heads * d] strip.
     for (int s = 0; s < s_src; ++s) {
@@ -190,8 +189,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
 
     // --- cached causal self-attention ---
     std::copy(x.begin(), x.begin() + static_cast<long>(nb) * H, resid.begin());
-    kernels::gemm(x.data(), w.self_qkv_weight.data<float>(), qkv.data(), nb,
-                  3 * H, H);
+    kernels::gemm(x.data(), w.self_qkv_weight, qkv.data(), nb);
     kernels::add_bias(qkv.data(), w.self_qkv_bias.data<float>(), nb, 3 * H);
     for (int b = 0; b < nb; ++b) {
       const StepSlot& slot = slots[static_cast<size_t>(b)];
@@ -205,8 +203,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
       attend(cache, layer, /*self_side=*/true, t + 1, qfull,
              &attn[static_cast<size_t>(b) * H], scale, ws);
     }
-    kernels::gemm(attn.data(), w.self_out_weight.data<float>(), proj.data(),
-                  nb, H, H);
+    kernels::gemm(attn.data(), w.self_out_weight, proj.data(), nb);
     kernels::add_bias_layernorm(x.data(), proj.data(), resid.data(),
                                 w.self_out_bias.data<float>(),
                                 w.ln1_gamma.data<float>(),
@@ -219,8 +216,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
     if (!config_.decoder_only) {
       std::copy(x.begin(), x.begin() + static_cast<long>(nb) * H,
                 resid.begin());
-      kernels::gemm(x.data(), w.cross_q_weight.data<float>(), proj.data(), nb,
-                    H, H);
+      kernels::gemm(x.data(), w.cross_q_weight, proj.data(), nb);
       kernels::add_bias(proj.data(), w.cross_q_bias.data<float>(), nb, H);
       for (int b = 0; b < nb; ++b) {
         KvCacheView& cache = *slots[static_cast<size_t>(b)].cache;
@@ -228,8 +224,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
                &proj[static_cast<size_t>(b) * H],
                &attn[static_cast<size_t>(b) * H], scale, ws);
       }
-      kernels::gemm(attn.data(), w.cross_out_weight.data<float>(),
-                    proj.data(), nb, H, H);
+      kernels::gemm(attn.data(), w.cross_out_weight, proj.data(), nb);
       kernels::add_bias_layernorm(x.data(), proj.data(), resid.data(),
                                   w.cross_out_bias.data<float>(),
                                   w.ln2_gamma.data<float>(),
@@ -238,11 +233,9 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
 
     // --- feed-forward ---
     std::copy(x.begin(), x.begin() + static_cast<long>(nb) * H, resid.begin());
-    kernels::gemm(x.data(), w.inter_weight.data<float>(), inter.data(), nb, I,
-                  H);
+    kernels::gemm(x.data(), w.inter_weight, inter.data(), nb);
     kernels::add_bias_gelu(inter.data(), w.inter_bias.data<float>(), nb, I);
-    kernels::gemm(inter.data(), w.out_weight.data<float>(), proj.data(), nb,
-                  H, I);
+    kernels::gemm(inter.data(), w.out_weight, proj.data(), nb);
     kernels::add_bias_layernorm(x.data(), proj.data(), resid.data(),
                                 w.out_bias.data<float>(),
                                 w.ln3_gamma.data<float>(),
@@ -257,8 +250,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
   int keep = 0;
   for (const StepSlot& slot : slots) keep += slot.need_logits ? 1 : 0;
   if (keep == nb) {
-    kernels::gemm(x.data(), weights_.output_proj.data<float>(), logits, nb,
-                  vocab, H);
+    kernels::gemm(x.data(), weights_.output_proj, logits, nb);
   } else if (keep > 0) {
     auto& xg = ws.xg;
     auto& lg = ws.lg;
@@ -272,8 +264,7 @@ void Seq2SeqDecoder::step(const std::vector<StepSlot>& slots, float* logits,
                 xg.begin() + static_cast<long>(g) * H);
       ++g;
     }
-    kernels::gemm(xg.data(), weights_.output_proj.data<float>(), lg.data(),
-                  keep, vocab, H);
+    kernels::gemm(xg.data(), weights_.output_proj, lg.data(), keep);
     g = 0;
     for (int b = 0; b < nb; ++b) {
       if (!slots[static_cast<size_t>(b)].need_logits) continue;

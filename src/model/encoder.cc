@@ -89,12 +89,13 @@ Tensor EncoderModel::forward(const Tensor& ids,
   // GEMM dispatch: fp32 cuBLAS path or the Turbo-TC tensor-core numeric
   // contract (fp16 operands, fp32 accumulation).
   const bool tc = config_.tensor_core_gemm;
-  auto run_gemm = [tc](const float* a, const float* b, float* c, int m,
-                       int n, int k) {
+  // The fp16 path reads the weight row-major, unpacked for each call.
+  auto run_gemm = [tc](const float* a, const kernels::PackedWeight& b,
+                       float* c, int m) {
     if (tc) {
-      kernels::gemm_fp16(a, b, c, m, n, k);
+      kernels::gemm_fp16(a, b.unpack().data<float>(), c, m, b.n(), b.k());
     } else {
-      kernels::gemm(a, b, c, m, n, k);
+      kernels::gemm(a, b, c, m);
     }
   };
   auto run_batched = [tc](const float* a, const float* b, float* c,
@@ -115,8 +116,7 @@ Tensor EncoderModel::forward(const Tensor& ids,
     const EncoderLayerWeights& w = layer_weights(layer);
 
     // Gemm012Fused: [BS, H] x [H, 3H] -> packed QKV.
-    run_gemm(cur, w.qkv_weight.data<float>(), qkv_out,
-             static_cast<int>(BS), 3 * H, H);
+    run_gemm(cur, w.qkv_weight, qkv_out, static_cast<int>(BS));
     // SplitAddBiasTransposeForScore.
     kernels::split_add_bias_transpose(qkv_out, w.qkv_bias.data<float>(), q, k,
                                       v, B, S, heads, d);
@@ -133,21 +133,20 @@ Tensor EncoderModel::forward(const Tensor& ids,
     // TransposeForScore: [B, h, S, d] -> [B, S, H].
     kernels::transpose_for_score(ctx_layer, trans_out, B, S, heads, d);
     // Gemm5: attention output projection.
-    run_gemm(trans_out, w.attn_out_weight.data<float>(), attn_out,
-             static_cast<int>(BS), H, H);
+    run_gemm(trans_out, w.attn_out_weight, attn_out, static_cast<int>(BS));
     // AddBiasLayerNorm with the layer input as residual.
     kernels::add_bias_layernorm(attn_ln_out, attn_out, cur,
                                 w.attn_out_bias.data<float>(),
                                 w.ln1_gamma.data<float>(),
                                 w.ln1_beta.data<float>(), BS, H);
     // BertIntermediate/gemm + AddBiasAct.
-    run_gemm(attn_ln_out, w.inter_weight.data<float>(), intermediate_out,
-             static_cast<int>(BS), I, H);
+    run_gemm(attn_ln_out, w.inter_weight, intermediate_out,
+             static_cast<int>(BS));
     kernels::add_bias_gelu(intermediate_out, w.inter_bias.data<float>(), BS,
                            I);
     // BertOutput/gemm + AddBiasLayerNorm.
-    run_gemm(intermediate_out, w.out_weight.data<float>(), layer_out_raw,
-             static_cast<int>(BS), H, I);
+    run_gemm(intermediate_out, w.out_weight, layer_out_raw,
+             static_cast<int>(BS));
     kernels::add_bias_layernorm(nxt, layer_out_raw, attn_ln_out,
                                 w.out_bias.data<float>(),
                                 w.ln2_gamma.data<float>(),
@@ -186,8 +185,9 @@ Tensor EncoderModel::forward_reference(const Tensor& ids,
     // Unfused path: separate projections, biases and transposes, each in
     // its own freshly owned buffer.
     Tensor qkv = Tensor::owned(Shape{BS, 3 * H});
-    kernels::gemm_ref(hidden.data<float>(), w.qkv_weight.data<float>(),
-                      qkv.data<float>(), static_cast<int>(BS), 3 * H, H);
+    kernels::gemm_ref(hidden.data<float>(),
+                      w.qkv_weight.unpack().data<float>(), qkv.data<float>(),
+                      static_cast<int>(BS), 3 * H, H);
     kernels::add_bias(qkv.data<float>(), w.qkv_bias.data<float>(), BS, 3 * H);
 
     Tensor q = Tensor::owned(Shape{static_cast<long>(B) * heads, S, d});
@@ -227,7 +227,8 @@ Tensor EncoderModel::forward_reference(const Tensor& ids,
                                  S, heads, d);
 
     Tensor attn = Tensor::owned(Shape{BS, H});
-    kernels::gemm_ref(merged.data<float>(), w.attn_out_weight.data<float>(),
+    kernels::gemm_ref(merged.data<float>(),
+                      w.attn_out_weight.unpack().data<float>(),
                       attn.data<float>(), static_cast<int>(BS), H, H);
     kernels::add_bias(attn.data<float>(), w.attn_out_bias.data<float>(), BS,
                       H);
@@ -238,13 +239,14 @@ Tensor EncoderModel::forward_reference(const Tensor& ids,
                        BS, H);
 
     Tensor inter = Tensor::owned(Shape{BS, I});
-    kernels::gemm_ref(attn_ln.data<float>(), w.inter_weight.data<float>(),
+    kernels::gemm_ref(attn_ln.data<float>(),
+                      w.inter_weight.unpack().data<float>(),
                       inter.data<float>(), static_cast<int>(BS), I, H);
     kernels::add_bias(inter.data<float>(), w.inter_bias.data<float>(), BS, I);
     kernels::gelu(inter.data<float>(), BS * I);
 
     Tensor ffn = Tensor::owned(Shape{BS, H});
-    kernels::gemm_ref(inter.data<float>(), w.out_weight.data<float>(),
+    kernels::gemm_ref(inter.data<float>(), w.out_weight.unpack().data<float>(),
                       ffn.data<float>(), static_cast<int>(BS), H, I);
     kernels::add_bias(ffn.data<float>(), w.out_bias.data<float>(), BS, H);
     kernels::add_residual(ffn.data<float>(), attn_ln.data<float>(), BS * H);

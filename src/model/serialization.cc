@@ -71,10 +71,32 @@ Tensor read_tensor(std::istream& in, const std::string& expected_name) {
   return t;
 }
 
-// Name/tensor pairs of one encoder layer, in a fixed order shared by the
-// writer and the reader.
-template <typename Fn>
-void for_each_layer_tensor(EncoderLayerWeights& w, Fn&& fn) {
+// A GEMM weight is stored as the row-major tensor it was packed from:
+// saving unpacks it and loading packs it again, so the format does not
+// depend on the panel layout.
+void write_tensor(std::ostream& out, const std::string& name,
+                  const kernels::PackedWeight& w) {
+  write_tensor(out, name, w.unpack());
+}
+
+void read_into(std::istream& in, const std::string& name, Tensor& t) {
+  t = read_tensor(in, name);
+}
+
+void read_into(std::istream& in, const std::string& name,
+               kernels::PackedWeight& w) {
+  const Tensor t = read_tensor(in, name);
+  TT_CHECK_MSG(t.shape().ndim() == 2, "checkpoint weight " << name
+                                                           << " is not 2-D");
+  w = kernels::PackedWeight::pack(t.data<float>(),
+                                  static_cast<int>(t.shape()[0]),
+                                  static_cast<int>(t.shape()[1]));
+}
+
+// Name/weight pairs of one encoder layer, in a fixed order shared by the
+// writer and the reader. `Layer` is EncoderLayerWeights, const or not.
+template <typename Layer, typename Fn>
+void for_each_layer_tensor(Layer& w, Fn&& fn) {
   fn("qkv_weight", w.qkv_weight);
   fn("qkv_bias", w.qkv_bias);
   fn("attn_out_weight", w.attn_out_weight);
@@ -108,16 +130,15 @@ void save_encoder(const std::string& path, const ModelConfig& config,
   write_i32(out, config.tensor_core_gemm ? 1 : 0);
 
   // Embedding block.
-  auto& emb = const_cast<EmbeddingWeights&>(weights.embedding);
+  const EmbeddingWeights& emb = weights.embedding;
   write_tensor(out, "word", emb.word);
   write_tensor(out, "position", emb.position);
   write_tensor(out, "emb_ln_gamma", emb.ln_gamma);
   write_tensor(out, "emb_ln_beta", emb.ln_beta);
 
   write_u32(out, static_cast<uint32_t>(weights.layers.size()));
-  for (auto& layer : const_cast<std::vector<EncoderLayerWeights>&>(
-           weights.layers)) {
-    for_each_layer_tensor(layer, [&](const char* name, Tensor& t) {
+  for (const EncoderLayerWeights& layer : weights.layers) {
+    for_each_layer_tensor(layer, [&](const char* name, const auto& t) {
       write_tensor(out, name, t);
     });
   }
@@ -151,8 +172,8 @@ LoadedEncoder load_encoder(const std::string& path) {
   TT_CHECK_LE(num_layer_sets, 1000u);
   loaded.weights.layers.resize(num_layer_sets);
   for (auto& layer : loaded.weights.layers) {
-    for_each_layer_tensor(layer, [&](const char* name, Tensor& t) {
-      t = read_tensor(in, name);
+    for_each_layer_tensor(layer, [&](const char* name, auto& t) {
+      read_into(in, name, t);
     });
   }
   return loaded;

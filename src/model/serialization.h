@@ -3,7 +3,8 @@
 // The serving framework's model-version management (paper §2.2) needs
 // durable weights: this module writes/reads a self-describing little-endian
 // container — magic, format version, the ModelConfig, then named tensors.
-// Round-trips are bit-exact.
+// A GEMM weight is written as its row-major [k, n] tensor (unpacked on save,
+// packed again on load). Round-trips are bit-exact.
 #pragma once
 
 #include <string>

@@ -31,20 +31,27 @@ Tensor ones(int64_t n) {
 
 }  // namespace
 
+kernels::PackedWeight random_weight(Rng& rng, int k, int n) {
+  // Packed straight from the freshly drawn matrix, which is then freed: one
+  // matrix at a time is ever held twice.
+  const Tensor t = random_matrix(rng, k, n);
+  return kernels::PackedWeight::pack(t.data<float>(), k, n);
+}
+
 EncoderLayerWeights EncoderLayerWeights::random(const ModelConfig& config,
                                                 Rng& rng) {
   const int H = config.hidden;
   const int I = config.intermediate;
   EncoderLayerWeights w;
-  w.qkv_weight = random_matrix(rng, H, 3 * H);
+  w.qkv_weight = random_weight(rng, H, 3 * H);
   w.qkv_bias = random_bias(rng, 3 * H);
-  w.attn_out_weight = random_matrix(rng, H, H);
+  w.attn_out_weight = random_weight(rng, H, H);
   w.attn_out_bias = random_bias(rng, H);
   w.ln1_gamma = ones(H);
   w.ln1_beta = random_bias(rng, H);
-  w.inter_weight = random_matrix(rng, H, I);
+  w.inter_weight = random_weight(rng, H, I);
   w.inter_bias = random_bias(rng, I);
-  w.out_weight = random_matrix(rng, I, H);
+  w.out_weight = random_weight(rng, I, H);
   w.out_bias = random_bias(rng, H);
   w.ln2_gamma = ones(H);
   w.ln2_beta = random_bias(rng, H);
@@ -79,23 +86,23 @@ DecoderLayerWeights DecoderLayerWeights::random(const ModelConfig& config,
   const int H = config.hidden;
   const int I = config.intermediate;
   DecoderLayerWeights w;
-  w.self_qkv_weight = random_matrix(rng, H, 3 * H);
+  w.self_qkv_weight = random_weight(rng, H, 3 * H);
   w.self_qkv_bias = random_bias(rng, 3 * H);
-  w.self_out_weight = random_matrix(rng, H, H);
+  w.self_out_weight = random_weight(rng, H, H);
   w.self_out_bias = random_bias(rng, H);
   w.ln1_gamma = ones(H);
   w.ln1_beta = random_bias(rng, H);
-  w.cross_q_weight = random_matrix(rng, H, H);
+  w.cross_q_weight = random_weight(rng, H, H);
   w.cross_q_bias = random_bias(rng, H);
-  w.cross_kv_weight = random_matrix(rng, H, 2 * H);
+  w.cross_kv_weight = random_weight(rng, H, 2 * H);
   w.cross_kv_bias = random_bias(rng, 2 * H);
-  w.cross_out_weight = random_matrix(rng, H, H);
+  w.cross_out_weight = random_weight(rng, H, H);
   w.cross_out_bias = random_bias(rng, H);
   w.ln2_gamma = ones(H);
   w.ln2_beta = random_bias(rng, H);
-  w.inter_weight = random_matrix(rng, H, I);
+  w.inter_weight = random_weight(rng, H, I);
   w.inter_bias = random_bias(rng, I);
-  w.out_weight = random_matrix(rng, I, H);
+  w.out_weight = random_weight(rng, I, H);
   w.out_bias = random_bias(rng, H);
   w.ln3_gamma = ones(H);
   w.ln3_beta = random_bias(rng, H);
@@ -111,7 +118,7 @@ DecoderWeights DecoderWeights::random(const ModelConfig& config,
   for (int i = 0; i < config.num_layers; ++i) {
     w.layers.push_back(DecoderLayerWeights::random(config, rng));
   }
-  w.output_proj = random_matrix(rng, config.hidden, config.vocab);
+  w.output_proj = random_weight(rng, config.hidden, config.vocab);
   return w;
 }
 

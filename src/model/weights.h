@@ -1,25 +1,35 @@
 // Weight containers for the transformer models. Weights are owned tensors,
 // seeded deterministically: the paper's benchmarks likewise use randomly
-// initialized models since serving performance is weight-independent.
+// initialized models since serving performance is weight-independent. Every
+// GEMM weight is a kernels::PackedWeight, packed once when it is made; the
+// shapes below are the row-major [k, n] it was packed from.
 #pragma once
 
 #include <vector>
 
 #include "common/rng.h"
+#include "kernels/gemm.h"
 #include "model/config.h"
 #include "tensor/tensor.h"
 
 namespace turbo::model {
 
+// A [k, n] GEMM weight drawn row-major from N(0, 0.02) and packed.
+kernels::PackedWeight random_weight(Rng& rng, int k, int n);
+
 struct EncoderLayerWeights {
-  // Attention. QKV projection packed: [H, 3H], bias [3H]
+  // Attention. Fused QKV projection: [H, 3H], bias [3H]
   // (column blocks: Q | K | V).
-  Tensor qkv_weight, qkv_bias;
-  Tensor attn_out_weight, attn_out_bias;  // [H, H], [H]
+  kernels::PackedWeight qkv_weight;
+  Tensor qkv_bias;
+  kernels::PackedWeight attn_out_weight;  // [H, H]
+  Tensor attn_out_bias;                   // [H]
   Tensor ln1_gamma, ln1_beta;             // [H]
   // Feed-forward.
-  Tensor inter_weight, inter_bias;        // [H, I], [I]
-  Tensor out_weight, out_bias;            // [I, H], [H]
+  kernels::PackedWeight inter_weight;     // [H, I]
+  Tensor inter_bias;                      // [I]
+  kernels::PackedWeight out_weight;       // [I, H]
+  Tensor out_bias;                        // [H]
   Tensor ln2_gamma, ln2_beta;             // [H]
 
   static EncoderLayerWeights random(const ModelConfig& config, Rng& rng);
@@ -43,17 +53,24 @@ struct EncoderWeights {
 
 struct DecoderLayerWeights {
   // Self-attention (causal, cached).
-  Tensor self_qkv_weight, self_qkv_bias;       // [H, 3H], [3H]
-  Tensor self_out_weight, self_out_bias;       // [H, H], [H]
+  kernels::PackedWeight self_qkv_weight;       // [H, 3H]
+  Tensor self_qkv_bias;                        // [3H]
+  kernels::PackedWeight self_out_weight;       // [H, H]
+  Tensor self_out_bias;                        // [H]
   Tensor ln1_gamma, ln1_beta;
   // Cross-attention over the encoder memory.
-  Tensor cross_q_weight, cross_q_bias;         // [H, H], [H]
-  Tensor cross_kv_weight, cross_kv_bias;       // [H, 2H], [2H]
-  Tensor cross_out_weight, cross_out_bias;     // [H, H], [H]
+  kernels::PackedWeight cross_q_weight;        // [H, H]
+  Tensor cross_q_bias;                         // [H]
+  kernels::PackedWeight cross_kv_weight;       // [H, 2H]
+  Tensor cross_kv_bias;                        // [2H]
+  kernels::PackedWeight cross_out_weight;      // [H, H]
+  Tensor cross_out_bias;                       // [H]
   Tensor ln2_gamma, ln2_beta;
   // Feed-forward.
-  Tensor inter_weight, inter_bias;             // [H, I], [I]
-  Tensor out_weight, out_bias;                 // [I, H], [H]
+  kernels::PackedWeight inter_weight;          // [H, I]
+  Tensor inter_bias;                           // [I]
+  kernels::PackedWeight out_weight;            // [I, H]
+  Tensor out_bias;                             // [H]
   Tensor ln3_gamma, ln3_beta;
 
   static DecoderLayerWeights random(const ModelConfig& config, Rng& rng);
@@ -62,7 +79,7 @@ struct DecoderLayerWeights {
 struct DecoderWeights {
   EmbeddingWeights embedding;            // target-side
   std::vector<DecoderLayerWeights> layers;
-  Tensor output_proj;                    // [H, vocab] logits projection
+  kernels::PackedWeight output_proj;     // [H, vocab] logits projection
 
   static DecoderWeights random(const ModelConfig& config, uint64_t seed);
 };

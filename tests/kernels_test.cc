@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <list>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -110,7 +111,8 @@ TEST(BatchedGemm, SharedOperandViaZeroStride) {
 
 // A row of C depends only on its own A row, B and its own old C row: the
 // same row computed alone (m = 1) and at any position of a larger m is
-// bit-equal, across 4-row tiles, 1-row tails and 64-row thread blocks.
+// bit-equal, across every row-tile height, the leftover-row tiles and 64-row
+// thread blocks, and whether B comes row-major or packed.
 class GemmBatchInvariance : public ::testing::TestWithParam<bool> {};
 
 TEST_P(GemmBatchInvariance, RowMatchesItsSoloRun) {
@@ -119,13 +121,14 @@ TEST_P(GemmBatchInvariance, RowMatchesItsSoloRun) {
   const float alpha = 0.75f, beta = -0.5f;
   Rng rng(trans_b ? 41 : 42);
   const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+  const PackedWeight packed = PackedWeight::pack(b.data(), k, n);
   const auto a_row = random_vec(rng, static_cast<size_t>(k));
   const auto c_row = random_vec(rng, static_cast<size_t>(n));
   std::vector<float> solo = c_row;
   gemm(a_row.data(), b.data(), solo.data(), 1, n, k, trans_b, alpha, beta);
 
-  for (int m : {7, 64, 65}) {
-    for (int pos : {0, 3, 6, 63, 64}) {
+  for (int m : {2, 3, 5, 6, 7, 8, 9, 17, 64, 65}) {
+    for (int pos : {0, 1, 3, 6, 8, 16, 63, 64}) {
       if (pos >= m) continue;
       auto a = random_vec(rng, static_cast<size_t>(m) * k);
       auto c = random_vec(rng, static_cast<size_t>(m) * n);
@@ -133,52 +136,136 @@ TEST_P(GemmBatchInvariance, RowMatchesItsSoloRun) {
                 a.begin() + static_cast<long>(pos) * k);
       std::copy(c_row.begin(), c_row.end(),
                 c.begin() + static_cast<long>(pos) * n);
+      auto c_packed = c;
       gemm(a.data(), b.data(), c.data(), m, n, k, trans_b, alpha, beta);
       EXPECT_EQ(std::memcmp(solo.data(), c.data() + static_cast<long>(pos) * n,
                             sizeof(float) * n),
                 0)
           << "m=" << m << " pos=" << pos;
+      if (trans_b) continue;
+      gemm(a.data(), packed, c_packed.data(), m, alpha, beta);
+      EXPECT_EQ(std::memcmp(solo.data(),
+                            c_packed.data() + static_cast<long>(pos) * n,
+                            sizeof(float) * n),
+                0)
+          << "packed m=" << m << " pos=" << pos;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(TransB, GemmBatchInvariance, ::testing::Bool());
 
-// Every ISA variant the CPU supports is bit-equal to the portable one, on
-// shapes that hit every column tail and k tail.
+// Every ISA variant the CPU supports is bit-equal to the portable one, and
+// its packed-weight entry point to its raw one, on row counts that hit every
+// leftover-row tile and shapes that hit every column tail and k tail.
 class GemmVariantEquality
     : public ::testing::TestWithParam<detail::Isa> {};
 
 TEST_P(GemmVariantEquality, BitEqualToPortable) {
-  const detail::GemmFn variant = detail::gemm_variant(GetParam());
-  if (variant == nullptr) GTEST_SKIP() << "ISA not available on this CPU";
-  const detail::GemmFn portable =
-      detail::gemm_variant(detail::Isa::kPortable);
-  ASSERT_NE(portable, nullptr);
-  const int m = 5;
-  for (bool trans_b : {false, true}) {
-    for (int n : {1, 15, 17, 63, 65, 1000}) {
-      for (int k : {1, 15, 17, 1024}) {
-        Rng rng(static_cast<uint64_t>(n * 4096 + k * 2 + trans_b));
-        const auto a = random_vec(rng, static_cast<size_t>(m) * k);
-        const auto b = random_vec(rng, static_cast<size_t>(k) * n);
-        const auto c0 = random_vec(rng, static_cast<size_t>(m) * n);
-        std::vector<float> want = c0, got = c0;
-        portable(a.data(), b.data(), want.data(), m, n, k, trans_b, 0.75f,
-                 -0.5f);
-        variant(a.data(), b.data(), got.data(), m, n, k, trans_b, 0.75f,
-                -0.5f);
-        EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * m * n),
-                  0)
-            << "n=" << n << " k=" << k << " trans_b=" << trans_b;
+  const detail::Isa isa = GetParam();
+  if (!detail::isa_supported(isa)) {
+    GTEST_SKIP() << "ISA not available on this CPU";
+  }
+  const float alpha = 0.75f, beta = -0.5f;
+  for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17}) {
+    for (bool trans_b : {false, true}) {
+      for (int n : {1, 15, 17, 47, 49, 63, 65, 1000}) {
+        for (int k : {1, 15, 17, 1024}) {
+          Rng rng((static_cast<uint64_t>(m) << 24) + n * 4096 + k * 2 +
+                  trans_b);
+          const auto a = random_vec(rng, static_cast<size_t>(m) * k);
+          const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+          const auto c0 = random_vec(rng, static_cast<size_t>(m) * n);
+          std::vector<float> want = c0, got = c0;
+          detail::gemm(detail::Isa::kPortable, a.data(), b.data(),
+                       want.data(), m, n, k, trans_b, alpha, beta);
+          detail::gemm(isa, a.data(), b.data(), got.data(), m, n, k, trans_b,
+                       alpha, beta);
+          EXPECT_EQ(
+              std::memcmp(want.data(), got.data(), sizeof(float) * m * n), 0)
+              << "m=" << m << " n=" << n << " k=" << k
+              << " trans_b=" << trans_b;
+          if (trans_b) continue;
+          std::vector<float> packed = c0;
+          detail::gemm(isa, a.data(), PackedWeight::pack(b.data(), k, n),
+                       packed.data(), m, alpha, beta);
+          EXPECT_EQ(
+              std::memcmp(got.data(), packed.data(), sizeof(float) * m * n),
+              0)
+              << "packed m=" << m << " n=" << n << " k=" << k;
+        }
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Isa, GemmVariantEquality,
-                         ::testing::Values(detail::Isa::kAvx2,
+                         ::testing::Values(detail::Isa::kPortable,
+                                           detail::Isa::kAvx2,
                                            detail::Isa::kAvx512));
+
+// PackedWeight holds B once, in exactly k * n floats, gives it back
+// bit-equal, and gemm over it is bit-equal to gemm over the row-major B.
+TEST(PackedWeight, UnpackRestoresTheMatrixBitForBit) {
+  for (int n : {1, 15, 47, 48, 49, 1000}) {
+    for (int k : {0, 1, 17, 1024}) {
+      Rng rng(static_cast<uint64_t>(n * 4096 + k));
+      const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+      const PackedWeight packed = PackedWeight::pack(b.data(), k, n);
+      EXPECT_EQ(packed.k(), k);
+      EXPECT_EQ(packed.n(), n);
+      EXPECT_EQ(packed.size(), static_cast<long>(k) * n);
+      const Tensor back = packed.unpack();
+      ASSERT_EQ(back.shape(), (Shape{k, n}));
+      if (k == 0) continue;
+      EXPECT_EQ(std::memcmp(back.data<float>(), b.data(), sizeof(float) * k * n),
+                0)
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(PackedWeight, PanelsHoldEveryColumnOnce) {
+  // Panel p is [k, w] at offset p * kPanelWidth * k: the last panel of
+  // n = 49 is one column wide and the buffer ends right after it.
+  const int k = 3, n = 49;
+  std::vector<float> b(static_cast<size_t>(k) * n);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(i);
+  const PackedWeight packed = PackedWeight::pack(b.data(), k, n);
+  const int kPanel = PackedWeight::kPanelWidth;
+  for (int kk = 0; kk < k; ++kk) {
+    for (int j = 0; j < kPanel; ++j) {
+      EXPECT_EQ(packed.data()[kk * kPanel + j], b[static_cast<size_t>(kk) * n + j]);
+    }
+    EXPECT_EQ(packed.data()[kPanel * k + kk],
+              b[static_cast<size_t>(kk) * n + kPanel]);
+  }
+}
+
+TEST(PackedWeight, GemmBitEqualToRawGemm) {
+  const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {1.0f, 1.0f},
+                                            {0.75f, -0.5f}};
+  for (int n : {1, 15, 47, 48, 49, 1000}) {
+    for (int k : {0, 1, 17, 1024}) {
+      Rng rng(static_cast<uint64_t>(n * 4096 + k + 7));
+      const auto b = random_vec(rng, static_cast<size_t>(k) * n);
+      const PackedWeight packed = PackedWeight::pack(b.data(), k, n);
+      for (int m : {1, 7, 17}) {
+        const auto a = random_vec(rng, static_cast<size_t>(m) * k);
+        const auto c0 = random_vec(rng, static_cast<size_t>(m) * n);
+        for (const auto& [alpha, beta] : scales) {
+          std::vector<float> want = c0, got = c0;
+          gemm(a.data(), b.data(), want.data(), m, n, k, false, alpha, beta);
+          gemm(a.data(), packed, got.data(), m, alpha, beta);
+          EXPECT_EQ(
+              std::memcmp(want.data(), got.data(), sizeof(float) * m * n), 0)
+              << "m=" << m << " n=" << n << " k=" << k << " alpha=" << alpha
+              << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------- paged attention --
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "common/check.h"
@@ -40,12 +41,19 @@ TEST(Serialization, RoundTripIsBitExact) {
   EXPECT_EQ(loaded.config.vocab, config.vocab);
   ASSERT_EQ(loaded.weights.layers.size(), weights.layers.size());
 
-  // Bit-exact weight data.
-  const float* a = weights.layers[0].qkv_weight.data<float>();
-  const float* b = loaded.weights.layers[0].qkv_weight.data<float>();
-  for (int64_t i = 0; i < weights.layers[0].qkv_weight.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]);
+  // Bit-exact weight data, both row-major and in the loaded panels.
+  const auto& saved_qkv = weights.layers[0].qkv_weight;
+  const auto& loaded_qkv = loaded.weights.layers[0].qkv_weight;
+  ASSERT_EQ(loaded_qkv.k(), saved_qkv.k());
+  ASSERT_EQ(loaded_qkv.n(), saved_qkv.n());
+  const Tensor a = saved_qkv.unpack();
+  const Tensor b = loaded_qkv.unpack();
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    ASSERT_EQ(a.data<float>()[i], b.data<float>()[i]);
   }
+  EXPECT_EQ(std::memcmp(saved_qkv.data(), loaded_qkv.data(),
+                        sizeof(float) * static_cast<size_t>(saved_qkv.size())),
+            0);
   std::remove(path.c_str());
 }
 
@@ -63,6 +71,35 @@ TEST(Serialization, LoadedModelProducesIdenticalOutputs) {
   Tensor b = restored.forward(ids);
   for (int64_t i = 0; i < a.numel(); ++i) {
     ASSERT_EQ(a.data<float>()[i], b.data<float>()[i]);
+  }
+  std::remove(path.c_str());
+}
+
+// The cold readers of the row-major weights (the reference forward and the
+// fp16 tensor-core path, which unpack them) see the same matrices after a
+// save and load as before.
+TEST(Serialization, LoadedModelMatchesOnEveryWeightReader) {
+  const std::string path = "/tmp/turbo_ckpt_readers_test.bin";
+  model::ModelConfig config = tiny();
+  config.tensor_core_gemm = true;
+  model::EncoderModel original(config, 77);
+  model::save_encoder(path, original.config(), original.weights());
+
+  auto loaded = model::load_encoder(path);
+  EXPECT_TRUE(loaded.config.tensor_core_gemm);
+  model::EncoderModel restored(loaded.config, std::move(loaded.weights));
+
+  Rng rng(2);
+  Tensor ids = make_ids(rng, 2, 9, 50);
+  const std::vector<int> lens = {9, 5};
+  for (bool reference : {false, true}) {
+    Tensor a = reference ? original.forward_reference(ids, &lens)
+                         : original.forward(ids, &lens);
+    Tensor b = reference ? restored.forward_reference(ids, &lens)
+                         : restored.forward(ids, &lens);
+    ASSERT_EQ(a.numel(), b.numel());
+    EXPECT_EQ(std::memcmp(a.data<float>(), b.data<float>(), a.bytes()), 0)
+        << "reference=" << reference;
   }
   std::remove(path.c_str());
 }
