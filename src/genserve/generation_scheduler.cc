@@ -13,7 +13,7 @@ GenerationScheduler::GenerationScheduler(KvCachePool* pool,
   TT_CHECK(pool_ != nullptr);
   TT_CHECK(costs_ != nullptr);
   TT_CHECK_GE(options_.max_active, 1);
-  TT_CHECK_GE(options_.step_token_quantum, 0);
+  TT_CHECK_GE(options_.step_token_quantum, 1);
   TT_CHECK_GE(options_.prefill_chunk_tokens, 0);
 }
 
@@ -31,13 +31,12 @@ void GenerationScheduler::validate(
                    << request.id
                    << "); negative ids are reserved for pooled beam roots");
   // A request whose worst case exceeds the whole pool could never be
-  // admitted; accepting it would wedge the FIFO queue forever. Under
-  // optimistic admission this cap doubles as the progress guarantee: the
-  // highest-ranked sequence can always preempt everything else and still
-  // fit alone.
+  // admitted; accepting it would wedge the FIFO queue forever. The cap
+  // doubles as the progress guarantee: the highest-ranked sequence can
+  // always preempt everything else and still fit alone.
   // The cap is the lifetime ceiling, not max_blocks(): a budget-attached
   // pool's momentary capacity fluctuates with sibling borrowing, and
-  // validate() must stay immutable-read (client threads call it).
+  // validate() must stay immutable-read (it is safe from any thread).
   const size_t need =
       options_.causal_lm
           ? pool_->blocks_for_causal(
@@ -80,8 +79,8 @@ std::vector<ActiveSequence*> GenerationScheduler::admit(double now_s) {
   // sequence, matching the candidate term below: the step-cost cap is a
   // lifetime guarantee for the batch, not a snapshot of current lengths —
   // a gate on current context would be silently violated as sequences
-  // grow. (Preemption under optimistic admission is triggered by pool
-  // exhaustion, never by the cost gate, so the lifetime view stays right.)
+  // grow. (Preemption is triggered by pool exhaustion, never by the cost
+  // gate, so the lifetime view stays right.)
   int max_ctx = 0;
   for (const auto& seq : active_) {
     max_ctx = std::max(max_ctx,
@@ -160,9 +159,8 @@ std::vector<ActiveSequence*> GenerationScheduler::admit(double now_s) {
                                       headroom())) {
             break;
           }
-          seq->kv = pool_->admit_optimistic(seq->request.id,
-                                            seq->request.src_tokens,
-                                            seq->request.max_new_tokens);
+          seq->kv = pool_->admit(seq->request.id, seq->request.src_tokens,
+                                 seq->request.max_new_tokens);
         }
         // Restart the decode cursor; steps [0, replay) re-derive the parked
         // tokens bit-identically and are not streamed again.
@@ -192,32 +190,21 @@ std::vector<ActiveSequence*> GenerationScheduler::admit(double now_s) {
     while (requeued_.empty() && !queue_.empty() &&
            static_cast<int>(active_.size()) < options_.max_active) {
       const serving::GenerationRequest& head = queue_.front();
-      // Charge only the request's *unshared* demand: when its prompt is
-      // already resident in the pool, the cross blocks are mapped to the
-      // live share (counted once however many sequences read them).
-      // Worst-case policy reserves the full output budget; optimistic
-      // admission needs only today's blocks to fit. Causal admission plans
-      // the radix prefix once and threads the plan into admit_causal —
-      // plan and gate see the same snapshot, and the tree is walked once.
+      // Charge only the request's *unshared* current demand: when its
+      // prompt is already resident in the pool, the cross blocks are
+      // mapped to the live share (counted once however many sequences read
+      // them). The plan (radix prefix for causal, prompt share for
+      // seq2seq) is resolved once and threaded into the admit — plan and
+      // gate see the same snapshot.
       KvCachePool::CausalPlan causal_plan;
       KvCachePool::SharePlan share_plan;
       bool fits;
       if (options_.causal_lm) {
         causal_plan = pool_->plan_causal(head.src_tokens);
-        fits = options_.optimistic_admission
-                   ? pool_->can_admit_causal_now(causal_plan, headroom())
-                   : pool_->can_admit_causal(
-                         static_cast<int>(head.src_tokens.size()),
-                         head.max_new_tokens);
+        fits = pool_->can_admit_causal_now(causal_plan, headroom());
       } else {
-        // Resolve the prompt-share lookup once per admission and thread it
-        // through the gate and the admit (each used to redo find_share).
         share_plan = pool_->plan_share(head.src_tokens);
-        fits = options_.optimistic_admission
-                   ? pool_->can_admit_now(head.src_tokens, share_plan,
-                                          headroom())
-                   : pool_->can_admit_prompt(head.src_tokens,
-                                             head.max_new_tokens, share_plan);
+        fits = pool_->can_admit_now(head.src_tokens, share_plan, headroom());
       }
       if (!fits) break;
       if (cost_blocks(head)) break;
@@ -239,13 +226,8 @@ std::vector<ActiveSequence*> GenerationScheduler::admit(double now_s) {
       } else {
         // Prompt-keyed admission: identical prompts share cross blocks, and
         // the server skips re-encoding when kv->needs_cross_init() is false.
-        seq->kv = options_.optimistic_admission
-                      ? pool_->admit_optimistic(seq->request.id,
-                                                seq->request.src_tokens,
-                                                seq->request.max_new_tokens,
-                                                share_plan)
-                      : pool_->admit(seq->request.id, seq->request.src_tokens,
-                                     seq->request.max_new_tokens, share_plan);
+        seq->kv = pool_->admit(seq->request.id, seq->request.src_tokens,
+                               seq->request.max_new_tokens, share_plan);
         seq->last_token = seq->request.bos_id;
       }
       seq->admit_s = now_s;
@@ -335,13 +317,25 @@ ActiveSequence* GenerationScheduler::pick_victim(
 }
 
 void GenerationScheduler::park(ActiveSequence* seq, StepPlan* plan) {
-  pool_->preempt(*seq->kv);
+  // A sequence still owing its cross share the encoder pass cannot park in
+  // the pool (the share would wedge). Holding the share alone, it gives up
+  // its whole admission instead: the share dies with the handle, and the
+  // sequence requeues exactly like an evicted one (re-encoded on resume).
+  const bool unencoded = seq->kv->needs_cross_init();
+  if (unencoded) {
+    TT_CHECK(!seq->kv->cross_shared());
+    seq->kv.reset();
+    ++total_evicted_;
+  } else {
+    pool_->preempt(*seq->kv);
+  }
   ++seq->preempt_count;
   ++total_preempted_;
   if (tracing()) {
     seq->park_ticks = obs::now_ticks();
     tracer_->instant(obs::SpanKind::kPreempt, seq->request.id,
                      static_cast<int32_t>(seq->tokens.size()));
+    if (unencoded) tracer_->instant(obs::SpanKind::kEvict, seq->request.id);
   }
   if (plan) {
     auto& stepping = plan->stepping;
@@ -396,46 +390,11 @@ int GenerationScheduler::known_rows(const ActiveSequence& seq) const {
 
 GenerationScheduler::StepPlan GenerationScheduler::prepare_step() {
   ++step_iter_;
-  if (options_.step_token_quantum > 0) return prepare_step_quantum();
   StepPlan plan;
-  // Growth mutates active_ (victims move to the requeue queue), so walk a
-  // snapshot; anything parked by an earlier grower is skipped when its
-  // turn comes.
-  std::vector<ActiveSequence*> order;
-  order.reserve(active_.size());
-  for (const auto& seq : active_) order.push_back(seq.get());
-  for (ActiveSequence* seq : order) {
-    if (!seq->kv || seq->kv->parked()) continue;  // victimized this call
-    for (;;) {
-      if (pool_->try_ensure_token(*seq->kv, seq->step)) {
-        seq->step_tokens = 1;
-        seq->last_step_iter = step_iter_;
-        plan.stepping.push_back(seq);
-        ++plan.quantum_charged;
-        break;
-      }
-      // Pool exhausted mid-decode: preempt downward. A victim this grower
-      // outranks goes first; then parked cross shares; and when neither
-      // exists the grower itself yields to the sequences above it.
-      if (ActiveSequence* victim = pick_victim(*seq)) {
-        park(victim, &plan);
-        continue;
-      }
-      if (evict_one_parked()) continue;
-      park(seq, &plan);
-      break;
-    }
-  }
-  return plan;
-}
-
-GenerationScheduler::StepPlan GenerationScheduler::prepare_step_quantum() {
-  StepPlan plan;
-  const int quantum = options_.step_token_quantum;
   const int chunk = options_.prefill_chunk_tokens > 0
                         ? options_.prefill_chunk_tokens
                         : pool_->options().block_tokens;
-  int budget = quantum;
+  int budget = options_.step_token_quantum;
 
   // Rotation order: least recently stepped first (admission order breaks
   // ties). A sequence passed over keeps its old stamp and moves to the
@@ -454,8 +413,10 @@ GenerationScheduler::StepPlan GenerationScheduler::prepare_step_quantum() {
             });
 
   // Pass 0: whole-prompt encode jobs and one row per sequence. The first
-  // row keeps the legacy grow-or-preempt ladder (decode progress is worth
-  // preempting for); chunk extensions below never preempt.
+  // row climbs the grow-or-preempt ladder (decode progress is worth
+  // preempting for): a victim this grower outranks goes first, then parked
+  // cross shares, and when neither exists the grower itself yields to the
+  // sequences above it. Chunk extensions below never preempt.
   for (ActiveSequence* seq : order) {
     if (budget <= 0) break;
     if (!seq->kv || seq->kv->parked()) continue;  // victimized this call
@@ -579,17 +540,10 @@ bool GenerationScheduler::admission_blocked() const {
   if (!queue_.empty()) {
     const serving::GenerationRequest& head = queue_.front();
     if (options_.causal_lm) {
-      const auto plan = pool_->plan_causal(head.src_tokens);
-      return options_.optimistic_admission
-                 ? !pool_->can_admit_causal_now(plan, headroom)
-                 : !pool_->can_admit_causal(
-                       static_cast<int>(head.src_tokens.size()),
-                       head.max_new_tokens);
+      return !pool_->can_admit_causal_now(pool_->plan_causal(head.src_tokens),
+                                          headroom);
     }
-    return options_.optimistic_admission
-               ? !pool_->can_admit_now(head.src_tokens, headroom)
-               : !pool_->can_admit_prompt(head.src_tokens,
-                                          head.max_new_tokens);
+    return !pool_->can_admit_now(head.src_tokens, headroom);
   }
   return false;
 }
@@ -631,6 +585,19 @@ size_t GenerationScheduler::admission_demand_bytes() const {
   return admission_demand_blocks() * pool_->block_bytes();
 }
 
+ActiveSequence* GenerationScheduler::shed_victim(bool pending_encode) const {
+  ActiveSequence* victim = nullptr;
+  for (const auto& seq : active_) {
+    if (!seq->kv || seq->kv->parked()) continue;
+    if (seq->kv->needs_cross_init() != pending_encode) continue;
+    // Followers sharing a pending prompt would wait on an encode no one
+    // owes once its creator drops its admission.
+    if (pending_encode && seq->kv->cross_shared()) continue;
+    if (victim == nullptr || outranks(*victim, *seq)) victim = seq.get();
+  }
+  return victim;
+}
+
 size_t GenerationScheduler::shed(size_t bytes) {
   const size_t before = pool_->stats().current_device_bytes;
   const auto freed = [&] {
@@ -641,22 +608,20 @@ size_t GenerationScheduler::shed(size_t bytes) {
   if (freed() < bytes) pool_->drop_radix_cache();
   while (freed() < bytes) {
     // Lowest-ranked preemptible sequence loses, same strict order the
-    // internal grow-or-preempt path uses. A sequence that still owes its
-    // cross share the encoder pass cannot park (the share would wedge);
-    // the server encodes admits within the same iteration, so by the time
-    // a sibling model's reclaim runs there is normally nothing pending.
-    ActiveSequence* victim = nullptr;
-    for (const auto& seq : active_) {
-      if (!seq->kv || seq->kv->parked() || seq->kv->needs_cross_init()) {
-        continue;
-      }
-      if (victim == nullptr || outranks(*victim, *seq)) victim = seq.get();
-    }
-    if (victim != nullptr) {
+    // internal grow-or-preempt path uses; then parked cross shares go.
+    if (ActiveSequence* victim = shed_victim(/*pending_encode=*/false)) {
       park(victim, nullptr);
       continue;
     }
     if (evict_one_parked()) continue;
+    // Last resort: a sequence whose encode job is still pending (park()
+    // drops its whole admission). Without this the reclaim livelocks when
+    // two admits' encode jobs alternate across steps: each shed parks the
+    // one that has just encoded, frees no slab, and neither ever decodes.
+    if (ActiveSequence* victim = shed_victim(/*pending_encode=*/true)) {
+      park(victim, nullptr);
+      continue;
+    }
     break;
   }
   return freed();

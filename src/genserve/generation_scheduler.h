@@ -9,17 +9,13 @@
 // admitted into the freed capacity, keeping the step batch full.
 //
 // Admission is gated on two resources:
-//  * KV pool capacity — under the default worst-case policy a sequence
-//    joins only if its worst-case block demand fits the pool's reservation
-//    budget, so decode can never deadlock on memory. The demand is
-//    marginal: a request whose prompt is already resident shares those
-//    cross blocks (charged once for the whole group), so only its unshared
-//    self-block budget counts. Under optimistic admission
-//    (GenSchedulerOptions::optimistic_admission) a sequence joins when its
-//    *current* demand fits — worst cases may oversubscribe the pool, and
-//    when a running sequence's growth finds the pool exhausted the
-//    scheduler preempts a victim (pluggable policy): the victim's unshared
-//    blocks return to the pool, its generated tokens are parked, and it is
+//  * KV pool capacity — a sequence joins when its *current* marginal demand
+//    fits (cold cross blocks plus one self block per layer; a request whose
+//    prompt is already resident shares those cross blocks, charged once for
+//    the whole group). Worst cases may oversubscribe the pool: when a
+//    running sequence's growth finds the pool exhausted the scheduler
+//    preempts a victim (pluggable policy): the victim's unshared blocks
+//    return to the pool, its generated tokens are parked, and it is
 //    requeued to resume by replaying those tokens from its still-resident
 //    cross blocks (no re-encode). Preemption only ever flows down the
 //    priority order, so the strongest sequence always runs to completion —
@@ -30,6 +26,9 @@
 //    queue snapshot; the server feeds measured fused-step latencies back
 //    through CostTable::observe, so the gate and the victim policy's
 //    recompute estimates track real costs instead of the analytic warm-up).
+//
+// Each step is one token quantum: decode rows, prefill/replay chunk rows
+// and deferred whole-prompt encode jobs packed under step_token_quantum.
 #pragma once
 
 #include <cstddef>
@@ -94,26 +93,23 @@ struct GenSchedulerOptions {
 
   int max_active = 8;             // step-batch size cap
   double max_step_cost_ms = 0.0;  // predicted step latency cap; 0 = off
-  // Token-quantum budget of one fused step (0 = legacy one-row-per-
-  // sequence stepping). When set, prepare_step assembles a mixed batch of
-  // decode rows plus as many pending prefill/replay chunk rows as fit the
-  // quantum: every active sequence in rotation order first gets one row
-  // (decode progress), then sequences with known-but-unfed tokens (causal
-  // prompts mid-prefill, parked tokens replaying after a resume) are
-  // deepened chunk-wise until the budget — or the cost gate — runs out.
-  // Seq2seq prompt encodes cannot be split numerically (the encoder is
-  // bidirectional), so they are scheduled as whole deferred jobs charged
-  // src_len tokens against the same quantum; one may overflow the budget
-  // only when the step would otherwise be empty (progress guarantee),
-  // flagged in StepPlan::quantum_overflow.
-  int step_token_quantum = 0;
+  // Token-quantum budget of one fused step (>= 1). prepare_step assembles
+  // a mixed batch of decode rows plus as many pending prefill/replay chunk
+  // rows as fit the quantum: every active sequence in rotation order first
+  // gets one row (decode progress), then sequences with known-but-unfed
+  // tokens (causal prompts mid-prefill, parked tokens replaying after a
+  // resume) are deepened chunk-wise until the budget — or the cost gate —
+  // runs out. Seq2seq prompt encodes cannot be split numerically (the
+  // encoder is bidirectional), so they are scheduled as whole deferred jobs
+  // charged src_len tokens against the same quantum; one may overflow the
+  // budget only when the step would otherwise be empty (progress
+  // guarantee), flagged in StepPlan::quantum_overflow. A quantum of 1 feeds
+  // one row per step.
+  int step_token_quantum = 64;
   // Max rows one sequence's prefill/replay advances per extension round
   // (0 = the pool's block_tokens). Bounds how much of the quantum a single
   // long prompt can claim before the round-robin moves on.
   int prefill_chunk_tokens = 0;
-  // Admit on current marginal demand instead of the worst case, absorbing
-  // the oversubscription with preempt-and-requeue.
-  bool optimistic_admission = false;
   // Decoder-only serving: requests are causal-LM prompts prefilled through
   // the decode loop. Admission goes through the pool's radix-aware causal
   // path (admit_causal / resume_causal), a (re)admitted sequence starts at
@@ -130,13 +126,12 @@ struct GenSchedulerOptions {
 // Thread-safety: externally synchronized, same single consumer as the
 // pool (the server's step loop). validate() is the exception: it reads
 // only immutable pool geometry and request fields, so any thread may call
-// it (AsyncGenerationServer does, from client threads).
+// it.
 // Invariants: every enqueued request is admitted exactly once, FIFO, and
 // retired exactly once (requeues resume, they do not re-admit);
-// active() <= max_active; under worst-case admission the pool reservation
-// of the active set never exceeds capacity; under optimistic admission
-// blocks_in_use never exceeds capacity (prepare_step preempts instead);
-// once idle(), total_enqueued == total_admitted == total_retired.
+// active() <= max_active; blocks_in_use never exceeds capacity
+// (prepare_step preempts instead); once idle(), total_enqueued ==
+// total_admitted == total_retired.
 class GenerationScheduler {
  public:
   // `pool` and `costs` are borrowed; both must outlive the scheduler.
@@ -144,10 +139,10 @@ class GenerationScheduler {
                       GenSchedulerOptions options = {});
 
   // Throws CheckError if the request is malformed or its worst-case KV
-  // demand exceeds the whole pool (it could never be admitted — and under
-  // optimistic admission this cap is also what guarantees the strongest
-  // sequence can always preempt its way to completion). Reads only
-  // immutable pool geometry, so it is safe from any thread.
+  // demand exceeds the whole pool (it could never be admitted — and this
+  // cap is also what guarantees the strongest sequence can always preempt
+  // its way to completion). Reads only immutable pool geometry, so it is
+  // safe from any thread.
   void validate(const serving::GenerationRequest& request) const;
 
   void enqueue(serving::GenerationRequest request);
@@ -168,11 +163,11 @@ class GenerationScheduler {
   // Iteration-level batch formation. Requeued (preempted) sequences resume
   // first — they are older than anything pending, and their cross blocks
   // are already resident — then queued requests join in FIFO order, while
-  // the pool admits (worst case or current demand, by policy), max_active
-  // allows, and the cost table predicts the grown step under budget.
-  // Returns every sequence that (re)joined: the server must encode the
-  // sources of those with kv->needs_cross_init() before the next step;
-  // resumed ones carry replay > 0 and re-derive instead of streaming.
+  // the pool admits their current demand, max_active allows, and the cost
+  // table predicts the grown step under budget. Returns every sequence
+  // that (re)joined; those with kv->needs_cross_init() owe an encode job,
+  // which prepare_step schedules; resumed ones carry replay > 0 and
+  // re-derive instead of streaming.
   std::vector<ActiveSequence*> admit(double now_s);
 
   // One iteration's worth of work, as assembled by prepare_step.
@@ -184,11 +179,10 @@ class GenerationScheduler {
     // Deferred seq2seq encode jobs: run the encoder over each sequence's
     // source (one forward per sequence — padding-free) and
     // mark_cross_ready before the decode rows of the NEXT step may touch
-    // it. Empty in legacy mode (the server encodes at admission).
+    // it.
     std::vector<ActiveSequence*> encode;
     // Token rows charged against the quantum this step: one per decode /
-    // prefill / replay row plus src_len per encode job. In legacy mode,
-    // the step batch size.
+    // prefill / replay row plus src_len per encode job.
     int quantum_charged = 0;
     // True when a whole-prompt encode job exceeded the remaining budget
     // but ran anyway because the step would otherwise have been empty.
@@ -196,15 +190,12 @@ class GenerationScheduler {
     bool empty() const { return stepping.empty() && encode.empty(); }
   };
 
-  // Growth phase of one iteration: back the self rows every scheduled
-  // sequence will write (CoW barrier included), preempting victims when
-  // the pool is exhausted. In legacy mode (step_token_quantum == 0) every
-  // active sequence gets exactly one row — a sequence may instead have
-  // been parked this call, either as a victim or by yielding to a
-  // higher-priority grower; at least one survives whenever any was
-  // active. In quantum mode the plan additionally packs prefill/replay
-  // chunks and deferred encode jobs under the token budget (see
-  // GenSchedulerOptions::step_token_quantum).
+  // Growth phase of one iteration: pack deferred encode jobs, one row per
+  // sequence and prefill/replay chunks under the token budget (see
+  // GenSchedulerOptions::step_token_quantum), backing the self rows every
+  // scheduled sequence will write (CoW barrier included) and preempting
+  // victims when the pool is exhausted. A sequence may be parked this
+  // call, either as a victim or by yielding to a higher-priority grower.
   StepPlan prepare_step();
 
   const std::vector<std::unique_ptr<ActiveSequence>>& active_set() const {
@@ -223,8 +214,9 @@ class GenerationScheduler {
   bool admission_blocked() const;
 
   // Forced preemption for cross-pool budget reclaim: park lowest-ranked
-  // active sequences (then evict parked cross shares, last resort) until
-  // the pool's footprint has dropped by at least `bytes`, or nothing
+  // active sequences (then evict parked cross shares, then drop the
+  // admissions of sequences whose encode job is still pending) until the
+  // pool's footprint has dropped by at least `bytes`, or nothing
   // preemptible remains. The parked sequences take the ordinary
   // preempt-and-requeue path — they resume and replay bit-identically once
   // capacity returns. Returns the bytes actually freed — quantized to
@@ -265,8 +257,14 @@ class GenerationScheduler {
   // eligible (the pool cannot park them without wedging the share).
   ActiveSequence* pick_victim(const ActiveSequence& requester);
   // Preempt `seq`: park its tokens, move it to the requeue queue, and drop
-  // it from `plan` if it had already been scheduled this iteration.
+  // it from `plan` if it had already been scheduled this iteration. A
+  // sequence whose encode job is pending (it must hold its share alone)
+  // drops its whole admission and requeues as if evicted.
   void park(ActiveSequence* seq, StepPlan* plan);
+  // shed()'s victim: the lowest-ranked active sequence among those whose
+  // encode job is done (pending_encode false) or still pending and owed to
+  // no follower (true); null when there is none.
+  ActiveSequence* shed_victim(bool pending_encode) const;
   // Drop the cross share of the most recently preempted parked sequence
   // (it will re-encode on resume). Last-resort capacity relief.
   bool evict_one_parked();
@@ -284,8 +282,6 @@ class GenerationScheduler {
   // replaying after a resume. The quantum allocator may schedule up to
   // this many rows in one step without sampling anything.
   int known_rows(const ActiveSequence& seq) const;
-  // Quantum-mode batch formation (see prepare_step).
-  StepPlan prepare_step_quantum();
 
   KvCachePool* pool_;
   const serving::CostTable* costs_;

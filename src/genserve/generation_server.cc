@@ -77,12 +77,6 @@ uint64_t to_ticks(std::chrono::steady_clock::time_point tp) {
 // GenerationServer
 // ---------------------------------------------------------------------------
 
-GenerationServer::GenerationServer(model::ModelConfig config,
-                                   GenServerOptions options, uint64_t seed)
-    : GenerationServer(make_bundle(config.name.empty() ? "model" : config.name,
-                                   /*version=*/1, config, seed),
-                       std::move(options)) {}
-
 GenerationServer::GenerationServer(std::shared_ptr<ModelBundle> bundle,
                                    GenServerOptions options)
     : bundle_(require_bundle(std::move(bundle))),
@@ -91,7 +85,6 @@ GenerationServer::GenerationServer(std::shared_ptr<ModelBundle> bundle,
       pool_(config_, options.pool),
       scheduler_(&pool_, &costs_, resolve_scheduler_options(*bundle_, options)),
       causal_(bundle_->decoder_only()),
-      quantum_on_(options.scheduler.step_token_quantum > 0),
       observe_costs_(options.observe_step_costs),
       observe_alpha_(options.cost_observe_alpha),
       epoch_(std::chrono::steady_clock::now()) {
@@ -147,8 +140,8 @@ double GenerationServer::now_s() const {
 void GenerationServer::validate(
     const serving::GenerationRequest& request) const {
   // Model-bound checks the scheduler cannot see: an out-of-vocab token
-  // would otherwise TT_CHECK deep inside the encoder/decoder on the worker
-  // thread and take the whole async server down with it.
+  // would otherwise TT_CHECK deep inside the encoder/decoder mid-step and
+  // fail every in-flight request with it.
   TT_CHECK_GE(request.bos_id, 0);
   TT_CHECK_LT(request.bos_id, config_.vocab);
   TT_CHECK_GE(request.eos_id, 0);
@@ -184,15 +177,10 @@ int GenerationServer::step() {
   const size_t radix_hit_rows_before = pool_.radix_hit_rows();
   const size_t radix_evictions_before = pool_.radix_evictions();
 
-  // Iteration-level batch formation: newly admitted sequences run the
-  // encoder as one zero-padded variable-length batch (the §4.2 allocator +
-  // masking path) and get their cross-attention K/V projected into pool
-  // blocks once. Sequences whose prompt matched a resident share skip the
-  // encoder entirely — their cross blocks are (or are being) filled by the
-  // share's creator, the prefix-sharing fast path. Resumed (previously
-  // preempted) sequences rejoin here too; their cross blocks are still
-  // resident unless the share was evicted, in which case they re-encode
-  // like a cold admit.
+  // Iteration-level batch formation: requeued (preempted) sequences resume
+  // first, then queued requests join. Seq2seq admits owe the encoder a
+  // pass unless their prompt matched a resident share (the prefix-sharing
+  // fast path); the scheduler schedules that pass as a deferred encode job.
   const uint64_t t_admit0 = tracing ? obs::now_ticks() : 0;
   const std::vector<ActiveSequence*> admitted = scheduler_.admit(now);
   if (tracing) {
@@ -211,73 +199,27 @@ int GenerationServer::step() {
       }
     }
   }
-  std::vector<ActiveSequence*> to_encode;
-  // First admits that owe the encoder a pass this iteration, counted
-  // before prepare_step can preempt one of them (which would bump its
-  // preempt_count and make it indistinguishable from a resume later).
-  // Causal sequences never encode (empty share, born ready); the sharing
-  // count for them is first admits that adopted a radix prefix.
+  // First admits that owe the encoder a pass, counted before prepare_step
+  // can preempt one of them (which would bump its preempt_count and make
+  // it indistinguishable from a resume later). Causal sequences never
+  // encode (empty share, born ready); the sharing count for them is first
+  // admits that adopted a radix prefix.
   int fresh_encoded = 0;
   int radix_admits = 0;
-  int prefilled_now = 0;  // prompt tokens prefilled this step (encoder
-                          // source rows + causal prompt-feeding rows)
-  for (ActiveSequence* seq : admitted) {
+  for (const ActiveSequence* seq : admitted) {
+    if (seq->preempt_count > 0) continue;
     if (causal_) {
-      if (seq->preempt_count == 0 && seq->kv->prefix_rows() > 0) {
-        ++radix_admits;
-      }
-      continue;
-    }
-    if (seq->kv->needs_cross_init()) {
-      if (seq->preempt_count == 0) ++fresh_encoded;
-      // Quantum mode defers the encode: the scheduler charges it against
-      // a step's token budget and hands it back in StepPlan::encode.
-      if (!quantum_on_) to_encode.push_back(seq);
-    }
-  }
-  if (!to_encode.empty()) {
-    const uint64_t t_enc0 = tracing ? obs::now_ticks() : 0;
-    const int nb_enc = static_cast<int>(to_encode.size());
-    int max_src = 0;
-    std::vector<int> valid_lens(static_cast<size_t>(nb_enc));
-    for (int b = 0; b < nb_enc; ++b) {
-      const int len = static_cast<int>(
-          to_encode[static_cast<size_t>(b)]->request.src_tokens.size());
-      valid_lens[static_cast<size_t>(b)] = len;
-      max_src = std::max(max_src, len);
-    }
-    Tensor ids = Tensor::zeros(Shape{nb_enc, max_src}, DType::kI32);
-    for (int b = 0; b < nb_enc; ++b) {
-      const auto& src = to_encode[static_cast<size_t>(b)]->request.src_tokens;
-      std::copy(src.begin(), src.end(),
-                ids.data<int32_t>() + static_cast<long>(b) * max_src);
-    }
-    Tensor memory =
-        bundle_->encoder->forward(ids, &valid_lens);  // [nb, max_src, H]
-    for (int b = 0; b < nb_enc; ++b) {
-      ActiveSequence* seq = to_encode[static_cast<size_t>(b)];
-      Tensor view = Tensor::view(
-          memory.data<float>() +
-              static_cast<long>(b) * max_src * config_.hidden,
-          Shape{valid_lens[static_cast<size_t>(b)], config_.hidden});
-      bundle_->decoder->init_cross_attention(view, *seq->kv);
-      seq->kv->mark_cross_ready();
-      prefilled_now += valid_lens[static_cast<size_t>(b)];
-    }
-    if (tracing) {
-      int prefill_tokens = 0;
-      for (const int len : valid_lens) prefill_tokens += len;
-      tracer_.span(obs::SpanKind::kEncodePrefill, t_enc0, obs::now_ticks(),
-                   /*seq=*/-1, nb_enc, prefill_tokens);
+      if (seq->kv->prefix_rows() > 0) ++radix_admits;
+    } else if (seq->kv->needs_cross_init()) {
+      ++fresh_encoded;
     }
   }
 
   // Growth phase: back the self rows every scheduled sequence will write.
-  // Under optimistic admission this is where pool exhaustion surfaces and
-  // the scheduler preempts — only the survivors step. In quantum mode the
-  // plan is a mixed batch: decode rows plus prefill/replay chunk rows,
-  // plus deferred whole-prompt encode jobs, together priced under the
-  // step token quantum.
+  // This is where pool exhaustion surfaces and the scheduler preempts —
+  // only the survivors step. The plan is a mixed batch: decode rows plus
+  // prefill/replay chunk rows, plus deferred whole-prompt encode jobs,
+  // together priced under the step token quantum.
   const uint64_t t_sched0 = tracing ? obs::now_ticks() : 0;
   const GenerationScheduler::StepPlan plan = scheduler_.prepare_step();
   if (tracing) {
@@ -287,11 +229,13 @@ int GenerationServer::step() {
   if (plan.empty()) return 0;
   const int nb_seqs = static_cast<int>(plan.stepping.size());
 
-  // Deferred encode jobs (quantum mode): one encoder forward per sequence
-  // — exactly the source length, zero padding — then the cross K/V
-  // projection into the share's pool blocks. Decode rows of this sequence
-  // start next step at the earliest (the scheduler never mixes a
-  // sequence's encode and decode in one plan).
+  // Deferred encode jobs: one encoder forward per sequence — exactly the
+  // source length, zero padding — then the cross K/V projection into the
+  // share's pool blocks. Decode rows of this sequence start next step at
+  // the earliest (the scheduler never mixes a sequence's encode and decode
+  // in one plan).
+  int prefilled_now = 0;  // prompt tokens prefilled this step (encoder
+                          // source rows + causal prompt-feeding rows)
   for (ActiveSequence* seq : plan.encode) {
     const uint64_t t_enc0 = tracing ? obs::now_ticks() : 0;
     const auto& src = seq->request.src_tokens;
@@ -316,10 +260,10 @@ int GenerationServer::step() {
   // rows at ascending positions; every fed token is already known (prompt
   // tokens mid-prefill, parked tokens mid-replay, the sampled last token
   // on the frontier row), and the slot order within the batch matches the
-  // per-token path's row order, so the fused chunk is bit-identical to
-  // feeding the rows one step at a time. Rows whose logits nobody reads
-  // (causal prompt rows short of the frontier) skip the vocabulary
-  // projection via need_logits.
+  // order the rows run in one at a time, so the fused chunk is
+  // bit-identical to feeding one row per step (step_token_quantum = 1).
+  // Rows whose logits nobody reads (causal prompt rows short of the
+  // frontier) skip the vocabulary projection via need_logits.
   std::vector<model::Seq2SeqDecoder::StepSlot> slots;
   slots.reserve(static_cast<size_t>(
       std::max(plan.quantum_charged, nb_seqs)));
@@ -579,127 +523,6 @@ PoolSnapshot GenerationServer::pool_snapshot() const {
 std::vector<serving::GenerationResponse> GenerationServer::run_to_completion() {
   while (!idle()) step();
   return take_completed();
-}
-
-// ---------------------------------------------------------------------------
-// AsyncGenerationServer
-// ---------------------------------------------------------------------------
-
-AsyncGenerationServer::AsyncGenerationServer(
-    std::unique_ptr<GenerationServer> server)
-    : server_(std::move(server)) {
-  TT_CHECK(server_ != nullptr);
-  worker_ = std::thread([this] { worker_loop(); });
-}
-
-AsyncGenerationServer::~AsyncGenerationServer() { shutdown(); }
-
-std::future<serving::GenerationResponse> AsyncGenerationServer::submit(
-    serving::GenerationRequest request, serving::TokenCallback on_token) {
-  // Validate on the client thread: a malformed request must throw here,
-  // not on the worker (where it could take the whole process down).
-  server_->validate(request);
-  std::future<serving::GenerationResponse> future;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TT_CHECK_MSG(!shutdown_, "submit after shutdown");
-    TT_CHECK_MSG(ids_in_flight_.insert(request.id).second,
-                 "duplicate in-flight generation request id " << request.id);
-    Submission s;
-    s.request = std::move(request);
-    s.on_token = std::move(on_token);
-    future = s.promise.get_future();
-    incoming_.push_back(std::move(s));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void AsyncGenerationServer::shutdown() {
-  std::lock_guard<std::mutex> join_lock(join_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-size_t AsyncGenerationServer::served() const {
-  // Registry-backed (no cached copy): the registry is lock-free to read
-  // and — when shared — outlives this shell, so the totals survive a
-  // worker teardown instead of resetting with it.
-  return server_->completed_total();
-}
-
-int64_t AsyncGenerationServer::iterations() const {
-  return static_cast<int64_t>(server_->metrics()->counter_value(
-      server_->metric_prefix() + "steps"));
-}
-
-PoolSnapshot AsyncGenerationServer::pool_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pool_snapshot_;
-}
-
-void AsyncGenerationServer::worker_loop() {
-  for (;;) {
-    std::vector<Submission> newly;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (incoming_.empty() && server_->idle()) {
-        cv_.wait(lock, [this] { return shutdown_ || !incoming_.empty(); });
-        if (incoming_.empty() && shutdown_) return;
-      }
-      newly = std::exchange(incoming_, {});
-    }
-
-    // A failure inside the engine (scheduler/pool invariant, model error)
-    // must not escape the worker thread — that would std::terminate the
-    // process. Surface it to every waiting client instead.
-    std::vector<serving::GenerationResponse> done;
-    try {
-      for (Submission& s : newly) {
-        in_flight_[s.request.id] = std::move(s.promise);
-        server_->submit(std::move(s.request), std::move(s.on_token));
-      }
-      // One scheduler iteration; completed sequences resolve their futures.
-      server_->step();
-      done = server_->take_completed();
-    } catch (...) {
-      std::vector<Submission> orphaned;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-        orphaned = std::exchange(incoming_, {});
-        for (auto& [id, promise] : in_flight_) {
-          promise.set_exception(std::current_exception());
-          ids_in_flight_.erase(id);
-        }
-        in_flight_.clear();
-        for (const auto& s : orphaned) ids_in_flight_.erase(s.request.id);
-      }
-      // Submissions that raced into the queue must fail too, or their
-      // clients' future.get() would block forever.
-      for (auto& s : orphaned) {
-        s.promise.set_exception(std::current_exception());
-      }
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      pool_snapshot_ = server_->pool_snapshot();
-      for (const auto& resp : done) ids_in_flight_.erase(resp.request_id);
-    }
-    for (auto& resp : done) {
-      const auto it = in_flight_.find(resp.request_id);
-      TT_CHECK(it != in_flight_.end());
-      std::promise<serving::GenerationResponse> promise =
-          std::move(it->second);
-      in_flight_.erase(it);
-      promise.set_value(std::move(resp));
-    }
-  }
 }
 
 }  // namespace turbo::genserve

@@ -1,31 +1,26 @@
-// Generation serving front ends.
+// Generation serving engine.
 //
-// GenerationServer is the synchronous engine: it owns the encoder (source
-// sentences run through the §4.2 model-aware allocator as usual), the
-// step-batched Seq2SeqDecoder, the KvCachePool and the iteration-level
-// GenerationScheduler. Each step() call is one scheduler iteration: admit,
-// one fused decode step over every active sequence (greedy, one token
-// each), stream tokens to per-request callbacks, retire finished
-// sequences.
+// GenerationServer is the synchronous engine over one model bundle: it
+// owns the KvCachePool and the iteration-level GenerationScheduler and
+// drives the bundle's encoder (source sentences run through the §4.2
+// model-aware allocator as usual) and step-batched Seq2SeqDecoder. Each
+// step() call is one scheduler iteration: admit, run the step's deferred
+// encode jobs, one fused decode step over the scheduled rows (greedy),
+// stream tokens to per-request callbacks, retire finished sequences.
 //
-// AsyncGenerationServer is the concurrent shell, mirroring
-// serving::AsyncServer: clients submit() generation requests and receive
-// futures; a worker thread runs the step loop, streaming per-token
-// callbacks from the serving thread and fulfilling each future when its
-// sequence retires.
+// The concurrent shell is AsyncMultiModelGenerationServer
+// (genserve/multi_model_server.h); a single-model deployment registers
+// one bundle there. GenerationServer stays the single-engine reference the
+// bit-identity tests and perfbench compare against.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "genserve/generation_scheduler.h"
@@ -58,8 +53,8 @@ struct GenServerOptions {
   // lifecycle events into the ring (private, or shared via trace.ring).
   obs::TraceConfig trace;
   // Metrics registry the engine publishes into (obs/metrics.h). When null
-  // the engine creates a private one; the multi-model server and the async
-  // shells pass a shared registry so counters survive engine teardown
+  // the engine creates a private one; the multi-model server passes a
+  // shared registry so counters survive engine teardown
   // (draining a model no longer zeroes its totals).
   std::shared_ptr<obs::Registry> metrics;
   // Identity this engine publishes under — the metric prefix becomes
@@ -78,8 +73,9 @@ struct StepStats {
   int64_t iteration = 0;
   int active = 0;                   // sequences in this fused step
   int step_rows = 0;                // decoder rows in this fused step (==
-                                    // active in legacy mode; more while
-                                    // prefill/replay chunks are scheduled)
+                                    // active, plus the extra rows of
+                                    // prefill/replay chunks; 0 on a step
+                                    // that only runs encode jobs)
   int admitted = 0;                 // joined this iteration (first admits)
   int admitted_shared = 0;          // of those, joined via a prompt match
                                     // (cross blocks shared, encoder skipped;
@@ -92,9 +88,7 @@ struct StepStats {
   int prefilled = 0;                // prompt TOKENS prefilled this step:
                                     // causal rows still feeding the prompt
                                     // (nothing streamed) plus seq2seq source
-                                    // tokens run through the encoder —
-                                    // comparable across the chunked and
-                                    // per-token paths
+                                    // tokens run through the encoder
   int prefill_chunks = 0;           // sequences that ran a multi-row
                                     // prefill/replay chunk this step
   int quantum_charged = 0;          // token rows charged against the step
@@ -104,12 +98,12 @@ struct StepStats {
   size_t kv_bytes_in_use = 0;       // live sequences' blocks
   size_t kv_device_bytes = 0;       // slab footprint (device reservation)
   size_t kv_blocks_in_use = 0;      // unique live blocks
-  size_t kv_blocks_reserved = 0;    // worst-case reservations (can exceed
-                                    // capacity under optimistic admission)
+  size_t kv_blocks_reserved = 0;    // worst-case reservations (may exceed
+                                    // capacity: the oversubscription)
 };
 
 // Snapshot of pool pressure plus preemption activity, assembled by
-// GenerationServer::pool_snapshot(); safe for the async shells to cache
+// GenerationServer::pool_snapshot(); safe for the async shell to cache
 // and serve while the worker runs.
 struct PoolSnapshot {
   size_t bytes_in_use = 0;
@@ -132,27 +126,27 @@ struct PoolSnapshot {
   size_t free_blocks = 0;
   size_t charged_bytes = 0;
   int active_sequences = 0;
-  // Preempt-and-requeue activity (optimistic admission).
+  // Preempt-and-requeue activity.
   size_t preemptions = 0;
   size_t resumes = 0;
   size_t evictions = 0;
 };
 
 // Ownership: owns the whole sync engine — the model bundle is pinned by
-// shared_ptr (private to this engine via the config constructor, or a
-// registry-shared bundle via the bundle constructor); cost table, KV pool
+// shared_ptr (make_bundle() builds one; the multi-model server shares its
+// registry's); cost table, KV pool
 // and scheduler construct and destruct together, so their borrow
 // relationships (scheduler -> pool, scheduler -> costs) are safe by
 // construction. Callbacks registered at submit() are owned until their
 // sequence retires.
 // Thread-safety: single-threaded by design. submit()/step()/
 // run_to_completion()/take_completed() must all come from one thread
-// (AsyncGenerationServer's worker, in the async stack). validate() reads
+// (the async shell's worker, in the async stack). validate() reads
 // only immutable configuration and pool geometry and may be called from
 // any thread. Token callbacks run synchronously inside step().
 // Invariants: one step() == one scheduler iteration — admit (resuming
-// preempted sequences first), encode the cold-prompt admits as one batch,
-// grow-or-preempt, one fused decode step over the surviving active set,
+// preempted sequences first), plan the token quantum (grow-or-preempt),
+// run its encode jobs, one fused decode step over the scheduled rows,
 // stream, retire; a retired sequence's blocks are back in the pool before
 // the next admit round; every submitted request produces exactly one
 // GenerationResponse. Preemption is invisible to clients: a resumed
@@ -162,12 +156,7 @@ class GenerationServer {
  public:
   using StepObserver = std::function<void(const StepStats&)>;
 
-  // Single-model construction: builds a private bundle from config + seed
-  // (bit-identical to make_bundle(..., seed) routed through the bundle
-  // constructor).
-  explicit GenerationServer(model::ModelConfig config,
-                            GenServerOptions options = {}, uint64_t seed = 42);
-  // Serve a registered bundle. The engine pins it for its own lifetime —
+  // Serve a bundle (make_bundle / make_decoder_only_bundle). The engine pins it for its own lifetime —
   // the multi-model server's hot-unregistration path relies on exactly
   // this pin. When options carry no cost table, the bundle's (if any) is
   // copied in, so per-model profiled tables follow the bundle.
@@ -175,9 +164,8 @@ class GenerationServer {
                             GenServerOptions options = {});
 
   // Throws CheckError if the request is malformed (empty source,
-  // max_new_tokens < 1) or could never fit the KV pool. Thread-safe: reads
-  // only immutable pool geometry. AsyncGenerationServer calls this on the
-  // client thread so bad requests fail at submit, not on the worker.
+  // max_new_tokens < 1, out-of-vocab tokens) or could never fit the KV
+  // pool. Thread-safe: reads only immutable pool geometry.
   void validate(const serving::GenerationRequest& request) const;
 
   // Queue a request. `on_token` (optional) streams each generated token.
@@ -197,9 +185,8 @@ class GenerationServer {
   const KvCachePool& pool() const { return pool_; }
   const GenerationScheduler& scheduler() const { return scheduler_; }
   const std::shared_ptr<ModelBundle>& bundle() const { return bundle_; }
-  // Current pool pressure + preemption totals, one assembly shared by the
-  // async shell and the multi-model breakdown. Worker-thread only (reads
-  // mutable pool state).
+  // Current pool pressure + preemption totals (the multi-model breakdown's
+  // per-replica entry). Worker-thread only (reads mutable pool state).
   PoolSnapshot pool_snapshot() const;
   // Cross-pool budget reclaim entry point (multi-model serving): preempt
   // this engine's lowest-ranked sequences until `bytes` of slab footprint
@@ -217,8 +204,8 @@ class GenerationServer {
   const std::shared_ptr<obs::Registry>& metrics() const { return metrics_; }
   const std::string& metric_prefix() const { return metric_prefix_; }
   // Lifetime totals, read back from the registry (the single home for
-  // these counts — the async shell and the multi-model stats view read the
-  // same numbers). Safe from any thread.
+  // these counts — the multi-model stats view reads the same numbers).
+  // Safe from any thread.
   size_t completed_total() const {
     return metrics_->counter_value(metric_prefix_ + "requests_completed");
   }
@@ -247,11 +234,6 @@ class GenerationServer {
   KvCachePool pool_;
   GenerationScheduler scheduler_;
   bool causal_ = false;  // decoder-only bundle: causal-LM serving path
-  // Token-quantum stepping (scheduler.step_token_quantum > 0): admits are
-  // NOT encoded at admission — the scheduler schedules whole-prompt
-  // encode jobs against the quantum, and the server runs each as its own
-  // padding-free encoder forward.
-  bool quantum_on_ = false;
   std::unordered_map<int64_t, serving::TokenCallback> callbacks_;
   std::vector<serving::GenerationResponse> completed_;
   std::vector<float> logits_;  // step scratch [max_active, vocab]
@@ -300,76 +282,6 @@ class GenerationServer {
   obs::Histogram* h_step_ms_ = nullptr;
   obs::Histogram* h_batch_ = nullptr;
   obs::Histogram* h_latency_ms_ = nullptr;
-};
-
-// Ownership: takes the engine by unique_ptr and owns it plus the worker
-// thread; shutdown() (also run by the destructor) drains pending work and
-// joins the worker.
-// Thread-safety: submit(), served(), iterations(), pool_snapshot() and
-// shutdown() are safe from any thread. The engine itself is touched only
-// by the worker; request validation runs on the submitting thread so
-// malformed requests throw at the call site. on_token callbacks fire on
-// the worker thread — they must not call back into this server.
-// Invariants: every accepted submit() resolves its future exactly once —
-// with a response, or with the engine's exception if the engine fails
-// (the failure also rejects queued submissions rather than wedging their
-// clients). Duplicate in-flight ids and submits after shutdown throw.
-class AsyncGenerationServer {
- public:
-  explicit AsyncGenerationServer(std::unique_ptr<GenerationServer> server);
-  ~AsyncGenerationServer();
-
-  AsyncGenerationServer(const AsyncGenerationServer&) = delete;
-  AsyncGenerationServer& operator=(const AsyncGenerationServer&) = delete;
-
-  // Enqueue one generation request; the future resolves when the sequence
-  // finishes. `on_token` streams tokens from the worker thread. Request
-  // ids must be unique among in-flight requests. Throws CheckError after
-  // shutdown().
-  std::future<serving::GenerationResponse> submit(
-      serving::GenerationRequest request,
-      serving::TokenCallback on_token = nullptr);
-
-  // Serve everything pending to completion, then stop the worker.
-  // Idempotent; also called by the destructor.
-  void shutdown();
-
-  // Lifetime totals, read straight from the engine's metrics registry (no
-  // cached copies to fall out of sync — and with a shared registry the
-  // counts survive this shell, so a replacement server resumes them
-  // instead of restarting from zero).
-  size_t served() const;
-  int64_t iterations() const;
-  PoolSnapshot pool_snapshot() const;
-  // The engine's registry; safe from any thread.
-  const std::shared_ptr<obs::Registry>& metrics() const {
-    return server_->metrics();
-  }
-  std::vector<obs::TraceSpan> trace_spans() const {
-    return server_->trace_spans();
-  }
-
- private:
-  struct Submission {
-    serving::GenerationRequest request;
-    serving::TokenCallback on_token;
-    std::promise<serving::GenerationResponse> promise;
-  };
-
-  void worker_loop();
-
-  std::unique_ptr<GenerationServer> server_;
-  std::mutex join_mutex_;  // serializes shutdown/join
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Submission> incoming_;
-  std::unordered_set<int64_t> ids_in_flight_;  // duplicate-id guard
-  // Promises by request id; touched only by the worker after handoff.
-  std::unordered_map<int64_t, std::promise<serving::GenerationResponse>>
-      in_flight_;
-  bool shutdown_ = false;
-  PoolSnapshot pool_snapshot_;
-  std::thread worker_;
 };
 
 }  // namespace turbo::genserve

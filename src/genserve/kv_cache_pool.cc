@@ -196,14 +196,7 @@ KvCachePool::SharePlan KvCachePool::plan_share(
 
 size_t KvCachePool::blocks_for_prompt(const std::vector<int>& prompt_tokens,
                                       int max_new_tokens) const {
-  return blocks_for_prompt(prompt_tokens, max_new_tokens,
-                           plan_share(prompt_tokens));
-}
-
-size_t KvCachePool::blocks_for_prompt(const std::vector<int>& prompt_tokens,
-                                      int max_new_tokens,
-                                      const SharePlan& plan) const {
-  if (plan.share_id >= 0) {
+  if (plan_share(prompt_tokens).share_id >= 0) {
     // The prompt is resident: its cross blocks (and their reservation) are
     // already charged to the live share, so only the self side is marginal.
     return self_blocks_for(max_new_tokens);
@@ -254,15 +247,7 @@ bool KvCachePool::can_admit(int s_src, int max_new_tokens) const {
 
 bool KvCachePool::can_admit_prompt(const std::vector<int>& prompt_tokens,
                                    int max_new_tokens) const {
-  return can_admit_prompt(prompt_tokens, max_new_tokens,
-                          plan_share(prompt_tokens));
-}
-
-bool KvCachePool::can_admit_prompt(const std::vector<int>& prompt_tokens,
-                                   int max_new_tokens,
-                                   const SharePlan& plan) const {
-  return blocks_reserved_ +
-             blocks_for_prompt(prompt_tokens, max_new_tokens, plan) <=
+  return blocks_reserved_ + blocks_for_prompt(prompt_tokens, max_new_tokens) <=
          max_blocks();
 }
 
@@ -357,29 +342,6 @@ std::unique_ptr<SequenceKv> KvCachePool::admit_with_share(int64_t seq_id,
   return seq;
 }
 
-std::unique_ptr<SequenceKv> KvCachePool::admit(
-    int64_t seq_id, const std::vector<int>& prompt_tokens,
-    int max_new_tokens) {
-  // Resolve the share once: the same lookup decides both the marginal
-  // demand (shared prompts cost no cross blocks) and the mapping.
-  return admit(seq_id, prompt_tokens, max_new_tokens,
-               plan_share(prompt_tokens));
-}
-
-std::unique_ptr<SequenceKv> KvCachePool::admit(
-    int64_t seq_id, const std::vector<int>& prompt_tokens, int max_new_tokens,
-    const SharePlan& plan) {
-  const int s_src = static_cast<int>(prompt_tokens.size());
-  const bool created = plan.share_id < 0;
-  const size_t marginal =
-      blocks_for_prompt(prompt_tokens, max_new_tokens, plan);
-  TT_CHECK_MSG(blocks_reserved_ + marginal <= max_blocks(),
-               "KV pool over capacity admitting sequence " << seq_id);
-  const int64_t share_id =
-      created ? create_share(prompt_tokens, s_src) : plan.share_id;
-  return admit_with_share(seq_id, s_src, max_new_tokens, share_id, created);
-}
-
 std::unique_ptr<SequenceKv> KvCachePool::admit(int64_t seq_id, int s_src,
                                                int max_new_tokens) {
   TT_CHECK_MSG(can_admit(s_src, max_new_tokens),
@@ -424,44 +386,37 @@ bool KvCachePool::can_admit_now(const std::vector<int>& prompt_tokens,
 bool KvCachePool::can_readmit_now(const std::vector<int>& prompt_tokens,
                                   int token_rows,
                                   size_t headroom_blocks) const {
-  return can_readmit_now(prompt_tokens, plan_share(prompt_tokens), token_rows,
-                         headroom_blocks);
-}
-
-bool KvCachePool::can_readmit_now(const std::vector<int>& prompt_tokens,
-                                  const SharePlan& plan, int token_rows,
-                                  size_t headroom_blocks) const {
   // blocks_for_admit_now already counts the first self block per layer;
   // the remaining replay rows add the blocks beyond it.
   const size_t rows = static_cast<size_t>(std::max(token_rows, 1));
   const size_t replay_extra =
       static_cast<size_t>(num_layers_) *
       (ceil_div(rows, static_cast<size_t>(options_.block_tokens)) - 1);
-  return can_admit_now(prompt_tokens, plan, headroom_blocks + replay_extra);
+  return can_admit_now(prompt_tokens, headroom_blocks + replay_extra);
 }
 
-std::unique_ptr<SequenceKv> KvCachePool::admit_optimistic(
+std::unique_ptr<SequenceKv> KvCachePool::admit(
     int64_t seq_id, const std::vector<int>& prompt_tokens,
     int max_new_tokens) {
-  return admit_optimistic(seq_id, prompt_tokens, max_new_tokens,
-                          plan_share(prompt_tokens));
+  // Resolve the share once: the same lookup decides both the marginal
+  // demand (shared prompts cost no cross blocks) and the mapping.
+  return admit(seq_id, prompt_tokens, max_new_tokens,
+               plan_share(prompt_tokens));
 }
 
-std::unique_ptr<SequenceKv> KvCachePool::admit_optimistic(
+std::unique_ptr<SequenceKv> KvCachePool::admit(
     int64_t seq_id, const std::vector<int>& prompt_tokens, int max_new_tokens,
     const SharePlan& plan) {
   TT_CHECK_MSG(can_admit_now(prompt_tokens, plan, 0),
-               "KV pool out of blocks optimistically admitting sequence "
-                   << seq_id);
+               "KV pool out of blocks admitting sequence " << seq_id);
   const bool created = plan.share_id < 0;
   const int64_t share_id =
       created ? create_share(prompt_tokens,
                              static_cast<int>(prompt_tokens.size()))
               : plan.share_id;
   // The worst case still lands in blocks_reserved_ (inside
-  // admit_with_share); under optimistic admission that sum may exceed
-  // max_blocks() — the overshoot is exactly the oversubscription that
-  // preempt-and-requeue absorbs.
+  // admit_with_share); that sum may exceed max_blocks() — the overshoot is
+  // exactly the oversubscription that preempt-and-requeue absorbs.
   return admit_with_share(seq_id, static_cast<int>(prompt_tokens.size()),
                           max_new_tokens, share_id, created);
 }
@@ -487,11 +442,6 @@ size_t KvCachePool::blocks_for_causal(int prompt_len,
                                       int max_new_tokens) const {
   TT_CHECK_GE(prompt_len, 1);
   return self_blocks_for(prompt_len + max_new_tokens);
-}
-
-bool KvCachePool::can_admit_causal(int prompt_len, int max_new_tokens) const {
-  return blocks_reserved_ + blocks_for_causal(prompt_len, max_new_tokens) <=
-         max_blocks();
 }
 
 size_t KvCachePool::blocks_for_causal_now(const CausalPlan& plan) const {
@@ -767,9 +717,10 @@ std::unique_ptr<SequenceKv> KvCachePool::fork(const SequenceKv& parent,
 }
 
 void KvCachePool::ensure_token(SequenceKv& seq, int t) {
-  // Worst-case admits reserved every block this call could materialize, so
-  // exhaustion here means the caller admitted optimistically but did not
-  // route growth through try_ensure_token + preemption.
+  // A sequence admitted behind a worst-case gate (can_admit, can_fork,
+  // can_admit_prompt) reserved every block this call could materialize, so
+  // exhaustion here means the caller admitted on current demand but did
+  // not route growth through try_ensure_token + preemption.
   TT_CHECK_MSG(try_ensure_token(seq, t),
                "KV pool exhausted growing sequence " << seq.id_
                                                      << " to token " << t);

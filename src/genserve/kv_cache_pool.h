@@ -30,24 +30,25 @@
 //    does not exclusively own (ensure_token is the write barrier; the hot
 //    row accessors stay branch-free). Beams therefore share their common
 //    history physically and diverge one block at a time.
-//  * A sequence is admitted with a worst-case reservation of the blocks it
-//    may come to own *uniquely*: self rows for `max_new_tokens` per layer,
-//    plus — only when its prompt is not already resident — cross rows for
-//    its source length. The cross reservation is charged once per live
-//    prompt (it lives with the share, not the sequence), so admission
-//    control charges shared prefix blocks a single time. A mid-decode grow
-//    or CoW copy can never fail: capacity is never exceeded by
-//    construction.
-//  * Optimistic admission (admit_optimistic) drops that guarantee for
-//    utilization: a sequence joins when its *current* marginal demand fits
-//    (cold cross blocks + one self block per layer), while its worst case
-//    is still tallied into blocks_reserved() as the oversubscription
-//    measure. Growth then goes through try_ensure_token(), which reports
-//    exhaustion instead of allocating past capacity; the scheduler reacts
-//    by preempting a victim — preempt() releases the victim's unshared
-//    self blocks back to the free list but keeps its cross share resident
-//    (parked), so resume() re-admits without re-encoding and the victim
-//    re-derives its self rows by replaying its own generated tokens.
+//  * Every sequence tallies a worst-case reservation of the blocks it may
+//    come to own *uniquely* into blocks_reserved(): self rows for
+//    `max_new_tokens` per layer, plus — only when its prompt is not
+//    already resident — cross rows for its source length. The cross
+//    reservation is charged once per live prompt (it lives with the share,
+//    not the sequence), so shared prefix blocks count a single time.
+//  * The prompt-keyed admit() joins a sequence when its *current* marginal
+//    demand fits (cold cross blocks + one self block per layer); the
+//    reservations may then oversubscribe capacity. Growth goes through
+//    try_ensure_token(), which reports exhaustion instead of allocating
+//    past capacity; the scheduler reacts by preempting a victim —
+//    preempt() releases the victim's unshared self blocks back to the free
+//    list but keeps its cross share resident (parked), so resume()
+//    re-admits without re-encoding and the victim re-derives its self rows
+//    by replaying its own generated tokens.
+//  * The promptless admit() and fork() are gated on the worst case
+//    (can_admit / can_fork), so a pooled beam search over them can grow
+//    and copy-on-write through the throwing ensure_token() without ever
+//    running out: capacity is never exceeded by construction.
 //  * Release drops refcounts; a block returns to the free list only when
 //    its last owner releases, and slabs that became empty free their
 //    buffers, so the device footprint tracks the unique working set — the
@@ -103,11 +104,9 @@ struct KvPoolOptions {
   // destruction.
   //
   // Capacity under a shared budget can shrink *between* a sequence's
-  // admission and its growth (another pool borrows the headroom), so
-  // worst-case admission's never-fails guarantee does not hold across
-  // pools: schedulers over budget-attached pools must run optimistic
-  // admission and route growth through try_ensure_token + preemption
-  // (MultiModelGenerationServer enforces this).
+  // admission and its growth (another pool borrows the headroom), so a
+  // worst-case gate's never-fails guarantee does not hold across pools;
+  // the scheduler's try_ensure_token + preemption path absorbs it.
   memory::SlabBudget* slab_budget = nullptr;
   std::string budget_client_name;
   size_t budget_guarantee_bytes = 0;
@@ -225,7 +224,7 @@ class SequenceKv final : public model::KvCacheView {
 // borrower.
 // Thread-safety: externally synchronized. All mutating calls (admit, fork,
 // ensure_token, sequence destruction) must come from one thread at a time
-// — in the serving stack that is AsyncGenerationServer's worker. Only the
+// — in the serving stack that is the async shell's worker. Only the
 // immutable-geometry readers (block_bytes, blocks_for, max_blocks) are
 // safe to call concurrently with mutation; they are what validate() uses
 // from client threads.
@@ -237,12 +236,12 @@ class SequenceKv final : public model::KvCacheView {
 //    no radix chain;
 //  * blocks_in_use() <= blocks_reserved() + radix_cached_blocks() at every
 //    point between public calls (tree-only blocks are the slack; every
-//    other block is covered by a holder's reservation). Worst-case
-//    admission additionally keeps blocks_reserved() <= max_blocks(), so
-//    grow and CoW can never fail mid-decode — the radix tier preserves
-//    this because unpinned nodes are always evictable down to zero;
-//    optimistic admission lets reservations oversubscribe capacity and
-//    instead keeps blocks_in_use() <= max_blocks() by failing
+//    other block is covered by a holder's reservation). Worst-case gated
+//    admits additionally keep blocks_reserved() <= max_blocks(), so grow
+//    and CoW can never fail mid-decode — the radix tier preserves this
+//    because unpinned nodes are always evictable down to zero; the
+//    current-demand admits let reservations oversubscribe capacity and
+//    instead keep blocks_in_use() <= max_blocks() by failing
 //    try_ensure_token;
 //  * a freed block is on the free list of a live slab; empty slabs hold no
 //    buffer; the device footprint returns to exactly zero when the last
@@ -282,49 +281,30 @@ class KvCachePool {
   bool capacity_borrowed_elsewhere() const {
     return max_blocks() < max_blocks_ceiling();
   }
+  // Worst-case gates: true when the whole worst case of a promptless admit
+  // (can_admit) or of a prompt-keyed admit (can_admit_prompt, marginal:
+  // a resident prompt costs no cross blocks) still fits next to every
+  // reservation. A caller that gates on these keeps ensure_token's
+  // never-fails guarantee.
   bool can_admit(int s_src, int max_new_tokens) const;
   bool can_admit_prompt(const std::vector<int>& prompt_tokens,
                         int max_new_tokens) const;
 
-  // Resolved share lookup, computed once per admission attempt. The admit
-  // paths used to re-run find_share() (a full prompt re-hash + compare) up
-  // to three times per admission — once in can_admit_prompt, once in
-  // blocks_for_prompt, once in admit; planning first and passing the plan
-  // through does the lookup exactly once. A plan is a point-in-time
-  // snapshot: use it for one admission on the same thread, before any
-  // other pool mutation, then replan.
+  // Resolved share lookup, computed once per admission attempt, so the
+  // gate and the admit do the prompt re-hash + compare exactly once. A
+  // plan is a point-in-time snapshot: use it for one admission on the
+  // same thread, before any other pool mutation, then replan.
   struct SharePlan {
     int64_t share_id = -1;  // live share with this exact prompt, or -1
   };
   SharePlan plan_share(const std::vector<int>& prompt_tokens) const;
 
-  size_t blocks_for_prompt(const std::vector<int>& prompt_tokens,
-                           int max_new_tokens, const SharePlan& plan) const;
-  bool can_admit_prompt(const std::vector<int>& prompt_tokens,
-                        int max_new_tokens, const SharePlan& plan) const;
-
-  // Begin a sequence lifetime keyed by its prompt tokens: reserve the
-  // marginal worst case, map cross blocks to an existing live prompt match
-  // (refcount++) or allocate them, and allocate the first self block per
-  // layer. Throws CheckError if can_admit_prompt is false.
-  std::unique_ptr<SequenceKv> admit(int64_t seq_id,
-                                    const std::vector<int>& prompt_tokens,
-                                    int max_new_tokens);
-  std::unique_ptr<SequenceKv> admit(int64_t seq_id,
-                                    const std::vector<int>& prompt_tokens,
-                                    int max_new_tokens, const SharePlan& plan);
-  // Promptless admission (no sharing key): private cross blocks, reserved
-  // like blocks_for. Used by pooled beam roots over raw encoder memory.
-  std::unique_ptr<SequenceKv> admit(int64_t seq_id, int s_src,
-                                    int max_new_tokens);
-
-  // --- Optimistic admission + preempt-and-requeue ---------------------
   // Marginal blocks an admit of `prompt_tokens` would materialize *right
   // now*: cross blocks when the prompt is cold, plus one self block per
-  // layer. This is what optimistic admission gates on, instead of the
-  // worst case. `headroom_blocks` keeps capacity uncommitted for the
-  // near-term growth of sequences already running (the scheduler passes
-  // one boundary-crossing per active sequence), damping admit-then-
+  // layer. This is what admission gates on, instead of the worst case.
+  // `headroom_blocks` keeps capacity uncommitted for the near-term growth
+  // of sequences already running (the scheduler passes one
+  // boundary-crossing per active sequence), damping admit-then-
   // immediately-preempt thrash.
   size_t blocks_for_admit_now(const std::vector<int>& prompt_tokens) const;
   size_t blocks_for_admit_now(const std::vector<int>& prompt_tokens,
@@ -339,25 +319,31 @@ class KvCachePool {
   // can_resume for parked handles.
   bool can_readmit_now(const std::vector<int>& prompt_tokens, int token_rows,
                        size_t headroom_blocks = 0) const;
-  bool can_readmit_now(const std::vector<int>& prompt_tokens,
-                       const SharePlan& plan, int token_rows,
-                       size_t headroom_blocks) const;
   // Blocks one sequence materializes when it crosses a block-tokens
   // boundary (one per layer) — the unit of growth headroom.
   size_t blocks_per_boundary() const {
     return static_cast<size_t>(num_layers_);
   }
-  // Admit when the *current* marginal demand fits. The worst case is still
-  // added to blocks_reserved() — with optimistic admission that total may
-  // exceed max_blocks(); the overshoot is the pool's oversubscription.
-  // Growth for optimistic sequences must go through try_ensure_token, and
-  // the caller must be prepared to preempt() a victim when it fails.
-  std::unique_ptr<SequenceKv> admit_optimistic(
-      int64_t seq_id, const std::vector<int>& prompt_tokens,
-      int max_new_tokens);
-  std::unique_ptr<SequenceKv> admit_optimistic(
-      int64_t seq_id, const std::vector<int>& prompt_tokens,
-      int max_new_tokens, const SharePlan& plan);
+
+  // Begin a sequence lifetime keyed by its prompt tokens: map cross blocks
+  // to an existing live prompt match (refcount++) or allocate them, and
+  // allocate the first self block per layer. Throws CheckError unless
+  // can_admit_now. The worst case is still added to blocks_reserved() —
+  // that total may exceed max_blocks(); the overshoot is the pool's
+  // oversubscription. Growth must go through try_ensure_token, and the
+  // caller must be prepared to preempt() a victim when it fails (or gate
+  // on can_admit_prompt first).
+  std::unique_ptr<SequenceKv> admit(int64_t seq_id,
+                                    const std::vector<int>& prompt_tokens,
+                                    int max_new_tokens);
+  std::unique_ptr<SequenceKv> admit(int64_t seq_id,
+                                    const std::vector<int>& prompt_tokens,
+                                    int max_new_tokens, const SharePlan& plan);
+  // Promptless admission (no sharing key): private cross blocks, reserved
+  // like blocks_for. Throws CheckError unless can_admit. Used by pooled
+  // beam roots over raw encoder memory.
+  std::unique_ptr<SequenceKv> admit(int64_t seq_id, int s_src,
+                                    int max_new_tokens);
 
   // --- Causal (decoder-only) admission over the radix tier --------------
   // A causal sequence has no encoder: its prompt is prefilled through the
@@ -380,11 +366,9 @@ class KvCachePool {
 
   // Worst-case block demand of one causal sequence: self rows for the
   // whole prompt plus `max_new_tokens` generated rows, shared prefix
-  // included (the reservation must cover full divergence, so worst-case
-  // admission keeps its never-fails guarantee; the concurrency win comes
-  // from optimistic admission gating on charged_blocks()).
+  // included (request validation caps it at the pool ceiling; admission
+  // gates on charged_blocks()).
   size_t blocks_for_causal(int prompt_len, int max_new_tokens) const;
-  bool can_admit_causal(int prompt_len, int max_new_tokens) const;
   // Blocks an admit with this plan materializes-or-charges right now: one
   // fresh self block per layer, plus the chain nodes not currently pinned
   // (adopting them moves their bytes from the evictable tier into the
@@ -401,9 +385,8 @@ class KvCachePool {
   // reservation for prompt + max_new self rows, prefix chain adopted from
   // `plan` (pinned + refcounted into the sequence), first fresh self block
   // allocated. Throws CheckError unless can_admit_causal_now(plan). The
-  // caller prefills from step prefix_rows(). Under worst-case admission
-  // gate on can_admit_causal first; the reservation may oversubscribe
-  // capacity otherwise, exactly like admit_optimistic.
+  // caller prefills from step prefix_rows(). The reservation may
+  // oversubscribe capacity, exactly like the prompt-keyed admit.
   std::unique_ptr<SequenceKv> admit_causal(
       int64_t seq_id, const std::vector<int>& prompt_tokens,
       int max_new_tokens, const CausalPlan& plan);
@@ -429,7 +412,7 @@ class KvCachePool {
 
   // Blocks competing for admission capacity: unique blocks in use minus
   // the evictable radix tier (those bytes are reclaimable on demand, so
-  // optimistic gates see them as free).
+  // the admission gates see them as free).
   size_t charged_blocks() const;
 
   // Preempt `seq`: drop every self-block reference it holds (physical
@@ -468,11 +451,11 @@ class KvCachePool {
   // that will receive row t if it is not exclusively owned. Must be called
   // before the decode step that writes row t. Never exceeds the admission
   // reservation. Throws CheckError on pool exhaustion — impossible for
-  // worst-case admits, so only optimistic callers need try_ensure_token.
+  // worst-case gated sequences (promptless admit, fork).
   void ensure_token(SequenceKv& seq, int t);
   // Like ensure_token, but returns false (mutating nothing) when backing
-  // row t would push blocks_in_use() past max_blocks(). The optimistic
-  // scheduler's growth path: a false return triggers preemption.
+  // row t would push blocks_in_use() past max_blocks(). The scheduler's
+  // growth path: a false return triggers preemption.
   bool try_ensure_token(SequenceKv& seq, int t);
 
   // Device-activity stats (slab mallocs/frees, current + peak footprint),

@@ -72,13 +72,6 @@ void MultiModelGenerationServer::register_bundle(
     eopts.trace.ring = trace_ring_;
     eopts.trace.enabled = true;
   }
-  if (options_.total_kv_bytes > 0) {
-    // Shared capacity can shrink between a sequence's admission and its
-    // growth (a sibling borrows the headroom); only optimistic admission's
-    // try_ensure_token + preemption path absorbs that, so it is mandatory
-    // under a bounded budget.
-    eopts.scheduler.optimistic_admission = true;
-  }
 
   turbo::router::ReplicaSetOptions sopts;
   sopts.replicas =

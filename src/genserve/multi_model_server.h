@@ -32,10 +32,11 @@
 //    pinned via shared_ptr and drains its in-flight sequences, then both
 //    are torn down.
 //
-// AsyncMultiModelGenerationServer is the concurrent shell: futures +
-// streaming callbacks like AsyncGenerationServer, plus thread-safe hot
-// registration (control operations are applied by the worker between
-// iterations, so the single-threaded engine contract holds).
+// AsyncMultiModelGenerationServer is the one concurrent shell over the
+// generation engines (a single-model deployment registers one bundle):
+// futures + streaming callbacks, plus thread-safe hot registration
+// (control operations are applied by the worker between iterations, so
+// the single-threaded engine contract holds).
 #pragma once
 
 #include <condition_variable>
@@ -64,10 +65,9 @@ namespace turbo::genserve {
 
 struct MultiModelOptions {
   // Shared slab budget across every model's KV pool, in bytes; 0 =
-  // unbounded (usage still attributed per model). With a bounded budget
-  // every engine is forced onto optimistic admission — capacity under a
-  // shared budget can shrink between admission and growth, which only the
-  // preemption path absorbs.
+  // unbounded (usage still attributed per model). Capacity under a bounded
+  // budget can shrink between admission and growth; the engines'
+  // preempt-and-requeue path absorbs it.
   size_t total_kv_bytes = 0;
   // Per-engine defaults (pool geometry, scheduler, cost observation).
   // register_bundle() may override per model; the pool's budget fields are
@@ -268,9 +268,9 @@ class MultiModelGenerationServer {
 };
 
 // Concurrent shell over MultiModelGenerationServer, mirroring
-// AsyncGenerationServer: submit() returns a future per request, a worker
+// serving::AsyncServer: submit() returns a future per request, a worker
 // thread runs the interleaved step loop, token callbacks stream from the
-// worker.
+// worker (they must not call back into this server).
 //
 // Hot registration from any thread: register_bundle()/unregister_bundle()
 // enqueue control operations the worker applies between iterations (the

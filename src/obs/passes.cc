@@ -25,9 +25,12 @@ bool is_phase_kind(SpanKind kind) {
 }
 
 // Engine-level phase spans tile one step; everything else is an event or
-// a sequence-lifecycle span.
+// a sequence-lifecycle span. Encoder passes are step work however they are
+// recorded: a deferred encode job runs inside the step as one span per
+// sequence it encodes.
 bool is_phase_span(const TraceSpan& s) {
-  return s.seq < 0 && is_phase_kind(s.kind);
+  return is_phase_kind(s.kind) &&
+         (s.seq < 0 || s.kind == SpanKind::kEncodePrefill);
 }
 
 double quantile_sorted(const std::vector<double>& sorted, double q) {

@@ -38,11 +38,13 @@
 
 namespace turbo::obs {
 
-// Span taxonomy. Engine-level phase spans (seq == -1) tile one scheduler
-// iteration; sequence-level spans (seq >= 0) mark lifecycle transitions.
+// Span taxonomy. Engine-level phase spans (seq == -1) and encode jobs tile
+// one scheduler iteration; other sequence-level spans (seq >= 0) mark
+// lifecycle transitions.
 enum class SpanKind : uint8_t {
   kAdmit = 0,        // phase: batch formation | seq: enqueue -> admitted
-  kEncodePrefill,    // phase: encoder pass over this step's cold admits
+  kEncodePrefill,    // phase: one deferred encode job (seq = the sequence
+                     // encoded, batch = 1, tokens = source length)
   kSchedule,         // phase: growth + grow-or-preempt (prepare_step)
   kDecodeStep,       // phase: the fused decode step (batch, tokens)
   kPreempt,          // seq event: victim parked (tokens = parked so far)

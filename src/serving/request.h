@@ -32,10 +32,9 @@ struct GenerationRequest {
   int max_new_tokens = 32;
   int bos_id = 1;
   int eos_id = 2;
-  // Preemption weight under optimistic admission: when the KV pool runs
-  // out mid-decode, lower-priority sequences are preempted first (see
-  // GenSchedulerOptions::victim_policy). Ignored by worst-case admission,
-  // which never preempts.
+  // Preemption weight: when the KV pool runs out mid-decode,
+  // lower-priority sequences are preempted first (see
+  // GenSchedulerOptions::victim_policy).
   int priority = 0;
   // Multi-model routing (genserve::MultiModelGenerationServer). `model`
   // names the registered bundle to decode with; empty routes to the

@@ -8,7 +8,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "genserve/generation_server.h"
+#include "genserve/model_bundle.h"
+#include "genserve/multi_model_server.h"
 #include "serving/async_server.h"
 
 namespace turbo::serving {
@@ -142,7 +143,8 @@ TEST(AsyncServer, BadRequestSurfacesAsException) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-prefix concurrency through AsyncGenerationServer: N clients racing
+// Shared-prefix concurrency through the async generation shell
+// (AsyncMultiModelGenerationServer, one bundle): N clients racing
 // identical prompts must all complete, and CoW prefix sharing must keep the
 // peak pool footprint well under N independent worst-case reservations.
 // ---------------------------------------------------------------------------
@@ -153,9 +155,10 @@ TEST(AsyncGenerationSharedPrefix, ConcurrentClientsShareBlocks) {
   options.pool.block_tokens = 4;
   options.pool.blocks_per_slab = 4;
   options.scheduler.max_active = 16;
-  auto engine =
-      std::make_unique<genserve::GenerationServer>(config, options, 29);
-  genserve::AsyncGenerationServer server(std::move(engine));
+  genserve::AsyncMultiModelGenerationServer server;
+  server.register_bundle(genserve::make_bundle("model", 1, config, 29), 0,
+                         options)
+      .get();
 
   // One long prompt shared by every client: cross-heavy on purpose, so the
   // shared blocks dominate each request's worst case.
@@ -218,7 +221,9 @@ TEST(AsyncGenerationSharedPrefix, ConcurrentClientsShareBlocks) {
   const size_t worst_case_bytes =
       probe.blocks_for(static_cast<int>(shared_src.size()), max_new_cap) *
       probe.block_bytes();
-  const auto snapshot = server.pool_snapshot();
+  const auto stats = server.model_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  const genserve::PoolSnapshot& snapshot = stats[0].pool;
   EXPECT_GT(snapshot.peak_device_bytes, 0u);
   EXPECT_LT(snapshot.peak_device_bytes, kRequests * worst_case_bytes);
   // Stronger: sharing should beat even half the unshared budget.

@@ -147,6 +147,20 @@ TEST(ChunkedPrefill, QuantumChargeIsConservedEveryStep) {
   EXPECT_EQ(scheduler.total_retired(), 2u);
 }
 
+TEST(ChunkedPrefill, QuantumBelowOneIsRejected) {
+  // The token quantum is the only step loop: a quantum of 1 feeds one row
+  // per step, and anything smaller could never schedule a row.
+  KvCachePool pool(tiny(), small_pool());
+  const auto costs = flat_costs();
+  for (const int quantum : {0, -1}) {
+    GenSchedulerOptions opts;
+    opts.step_token_quantum = quantum;
+    EXPECT_THROW(GenerationScheduler(&pool, &costs, opts), CheckError)
+        << "quantum " << quantum;
+  }
+  EXPECT_EQ(GenSchedulerOptions{}.step_token_quantum, 64);
+}
+
 TEST(ChunkedPrefill, QuantumSmallerThanOneChunkStillProgresses) {
   // quantum=2 < block_tokens=4: chunks clamp to the budget, the prompt
   // still prefills to completion, and no step ever exceeds the quantum.
@@ -391,9 +405,8 @@ TEST(ChunkedPrefill, ServerCountsPrefillTokensAndChunks) {
   GenServerOptions options;
   options.pool = small_pool();
   options.pool.enable_radix_tree = false;
-  options.scheduler.causal_lm = true;
   options.scheduler.step_token_quantum = 6;
-  GenerationServer server(tiny_causal(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny_causal(), 29), options);
 
   Rng rng(77);
   server.submit(make_request(1, rng.token_ids(P, 50), M));
@@ -421,39 +434,43 @@ TEST(ChunkedPrefill, ServerCountsPrefillTokensAndChunks) {
 }
 
 TEST(ChunkedPrefill, Seq2SeqPrefillTokensMatchAcrossQuantumModes) {
-  // The prefilled stat counts encoder source tokens in both paths, so the
-  // totals are comparable: legacy (encode at admission) and quantum
-  // (deferred encode jobs) both report src_len per request.
+  // The prefilled stat counts encoder source tokens, so the totals are
+  // comparable between a packed run (two deferred encode jobs in one
+  // server, quantum 4) and each request served alone one row per step
+  // (quantum 1): both report src_len per request.
   const int kSrc[] = {6, 3};
-  auto run = [&](int quantum) {
+  Rng rng(41);
+  std::vector<serving::GenerationRequest> requests;
+  for (int i = 0; i < 2; ++i) {
+    requests.push_back(make_request(i, rng.token_ids(kSrc[i], 50), 3));
+  }
+  auto run = [&](const std::vector<serving::GenerationRequest>& batch,
+                 int quantum) {
     GenServerOptions options;
     options.pool = small_pool();
     options.scheduler.step_token_quantum = quantum;
-    GenerationServer server(tiny(), options, 29);
-    Rng rng(41);
-    for (int i = 0; i < 2; ++i) {
-      server.submit(make_request(i, rng.token_ids(kSrc[i], 50), 3));
-    }
+    GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
+    for (const auto& r : batch) server.submit(r);
     int prefilled = 0;
     bool overflow = false;
     server.set_step_observer([&](const StepStats& s) {
       prefilled += s.prefilled;
       overflow = overflow || s.quantum_overflow;
     });
-    EXPECT_EQ(server.run_to_completion().size(), 2u);
+    EXPECT_EQ(server.run_to_completion().size(), batch.size());
     EXPECT_EQ(server.metrics()->counter_value(server.metric_prefix() +
                                               "prefill_tokens"),
               static_cast<uint64_t>(prefilled));
     return std::make_pair(prefilled, overflow);
   };
 
-  const auto legacy = run(0);
-  const auto quantum = run(4);
-  EXPECT_EQ(legacy.first, kSrc[0] + kSrc[1]);
-  EXPECT_EQ(quantum.first, kSrc[0] + kSrc[1]);
-  EXPECT_FALSE(legacy.second);
+  int solo_prefilled = 0;
+  for (const auto& r : requests) solo_prefilled += run({r}, 1).first;
+  const auto packed = run(requests, 4);
+  EXPECT_EQ(solo_prefilled, kSrc[0] + kSrc[1]);
+  EXPECT_EQ(packed.first, kSrc[0] + kSrc[1]);
   // src 6 > quantum 4: the indivisible encode must have overflowed once.
-  EXPECT_TRUE(quantum.second);
+  EXPECT_TRUE(packed.second);
 }
 
 }  // namespace

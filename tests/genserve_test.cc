@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "common/rng.h"
 #include "genserve/generation_server.h"
 #include "genserve/kv_cache_pool.h"
+#include "genserve/multi_model_server.h"
 #include "model/decoder.h"
 #include "model/encoder.h"
 
@@ -276,7 +279,7 @@ TEST(GenerationScheduler, RespectsMaxActiveAndServesEveryoneOnce) {
   GenServerOptions options;
   options.pool = small_pool();
   options.scheduler.max_active = 2;
-  GenerationServer server(tiny(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
 
   Rng rng(3);
   const int n = 6;
@@ -313,7 +316,7 @@ TEST(GenerationScheduler, PoolCapacityStagesAdmission) {
     options.pool.max_bytes = 8 * probe.block_bytes();
   }
   options.scheduler.max_active = 4;
-  GenerationServer server(tiny(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
 
   Rng rng(4);
   for (int i = 0; i < 3; ++i) server.submit(make_request(rng, i, 6, 8));
@@ -328,6 +331,39 @@ TEST(GenerationScheduler, PoolCapacityStagesAdmission) {
   EXPECT_EQ(responses.size(), 3u);
   EXPECT_EQ(max_seen_active, 1);  // capacity admits one at a time
   EXPECT_LE(max_device_bytes, options.pool.max_bytes);
+}
+
+TEST(GenerationScheduler, UnboundedPoolAdmitsUpToMaxActiveAndNeverPreempts) {
+  // With neither max_bytes nor a bounded budget, max_blocks() is SIZE_MAX:
+  // the current-demand gate always passes, so the first admit round takes
+  // min(queued, max_active) and nothing is ever preempted — for seq2seq
+  // and decoder-only bundles alike. This is why a deployment without a KV
+  // cap schedules exactly as it did under worst-case admission.
+  const model::ModelConfig configs[] = {
+      tiny(), model::ModelConfig::tiny_causal(2, 32, 2, 64, 50)};
+  for (const auto& config : configs) {
+    for (const int queued : {3, 10}) {
+      GenServerOptions options;
+      options.pool = small_pool();
+      options.scheduler.max_active = 6;
+      GenerationServer server(make_bundle("model", 1, config, 29), options);
+      Rng rng(17);
+      for (int i = 0; i < queued; ++i) {
+        server.submit(make_request(rng, i, 20 + i, 24));
+      }
+      std::vector<int> admitted;
+      server.set_step_observer(
+          [&](const StepStats& s) { admitted.push_back(s.admitted); });
+      EXPECT_EQ(server.run_to_completion().size(),
+                static_cast<size_t>(queued));
+      ASSERT_FALSE(admitted.empty());
+      EXPECT_EQ(admitted.front(), std::min(queued, 6))
+          << "causal " << config.decoder_only << " queued " << queued;
+      EXPECT_EQ(server.scheduler().total_preempted(), 0u);
+      EXPECT_EQ(server.pool().max_blocks(),
+                std::numeric_limits<size_t>::max());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +383,7 @@ TEST(GenerationServer, BatchedResultsMatchSoloRuns) {
   for (const auto& r : requests) {
     GenServerOptions options;
     options.pool = small_pool();
-    GenerationServer server(config, options, 29);
+    GenerationServer server(make_bundle("model", 1, config, 29), options);
     server.submit(r);
     const auto responses = server.run_to_completion();
     ASSERT_EQ(responses.size(), 1u);
@@ -358,7 +394,7 @@ TEST(GenerationServer, BatchedResultsMatchSoloRuns) {
   GenServerOptions options;
   options.pool = small_pool();
   options.scheduler.max_active = 3;
-  GenerationServer server(config, options, 29);
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
   for (const auto& r : requests) server.submit(r);
   const auto responses = server.run_to_completion();
   ASSERT_EQ(responses.size(), requests.size());
@@ -388,7 +424,7 @@ TEST(GenerationServer, PrefixSharingDoesNotChangeOutputs) {
     options.pool = small_pool();
     options.pool.enable_prefix_sharing = false;
     options.scheduler.max_active = 6;
-    GenerationServer server(config, options, 29);
+    GenerationServer server(make_bundle("model", 1, config, 29), options);
     for (const auto& r : requests) server.submit(r);
     for (const auto& resp : server.run_to_completion()) {
       reference[resp.request_id] = resp.tokens;
@@ -399,7 +435,7 @@ TEST(GenerationServer, PrefixSharingDoesNotChangeOutputs) {
   GenServerOptions options;
   options.pool = small_pool();
   options.scheduler.max_active = 6;
-  GenerationServer server(config, options, 29);
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
   int shared_admits = 0;
   server.set_step_observer(
       [&](const StepStats& s) { shared_admits += s.admitted_shared; });
@@ -417,15 +453,24 @@ TEST(GenerationServer, PrefixSharingDoesNotChangeOutputs) {
 }
 
 // ---------------------------------------------------------------------------
-// AsyncGenerationServer end-to-end streaming
+// The async shell over one bundle: end-to-end streaming
 // ---------------------------------------------------------------------------
 
-TEST(AsyncGenerationServer, StreamsAndResolvesConcurrentRequests) {
+// AsyncMultiModelGenerationServer with a single bundle registered under
+// `options` — the async shell of a single-model deployment.
+std::unique_ptr<AsyncMultiModelGenerationServer> async_shell(
+    const GenServerOptions& options) {
+  auto server = std::make_unique<AsyncMultiModelGenerationServer>();
+  server->register_bundle(make_bundle("model", 1, tiny(), 29), 0, options)
+      .get();
+  return server;
+}
+
+TEST(AsyncGenerationShell, StreamsAndResolvesConcurrentRequests) {
   GenServerOptions options;
   options.pool = small_pool();
   options.scheduler.max_active = 8;
-  auto engine = std::make_unique<GenerationServer>(tiny(), options, 29);
-  AsyncGenerationServer server(std::move(engine));
+  auto server = async_shell(options);
 
   struct Stream {
     std::vector<int> tokens;  // streamed content tokens (EOS excluded)
@@ -443,7 +488,7 @@ TEST(AsyncGenerationServer, StreamsAndResolvesConcurrentRequests) {
     requests.push_back(make_request(rng, i, 3 + (i % 5) * 2, 5 + (i % 3) * 3));
   }
   for (const auto& r : requests) {
-    futures.push_back(server.submit(
+    futures.push_back(server->submit(
         r, [&, eos = r.eos_id](int64_t id, int token, int step, bool last) {
           std::lock_guard<std::mutex> lock(stream_mutex);
           auto& s = streams[id];
@@ -469,19 +514,19 @@ TEST(AsyncGenerationServer, StreamsAndResolvesConcurrentRequests) {
       EXPECT_EQ(s.steps[k], s.steps[k - 1] + 1);
     }
   }
-  server.shutdown();
-  EXPECT_EQ(server.served(), static_cast<size_t>(n));
-  const auto snapshot = server.pool_snapshot();
-  EXPECT_EQ(snapshot.active_sequences, 0);
-  EXPECT_EQ(snapshot.device_bytes, 0u);
-  EXPECT_GT(snapshot.peak_device_bytes, 0u);
+  server->shutdown();
+  EXPECT_EQ(server->served(), static_cast<size_t>(n));
+  const auto stats = server->model_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].pool.active_sequences, 0);
+  EXPECT_EQ(stats[0].pool.device_bytes, 0u);
+  EXPECT_GT(stats[0].pool.peak_device_bytes, 0u);
 }
 
-TEST(AsyncGenerationServer, RejectsSubmitAfterShutdownAndDuplicateIds) {
+TEST(AsyncGenerationShell, RejectsSubmitAfterShutdownAndDuplicateIds) {
   GenServerOptions options;
   options.pool = small_pool();
-  auto engine = std::make_unique<GenerationServer>(tiny(), options, 29);
-  AsyncGenerationServer server(std::move(engine));
+  auto server = async_shell(options);
   Rng rng(7);
 
   // Hold request 1 open (its first token callback blocks the worker) so
@@ -489,43 +534,54 @@ TEST(AsyncGenerationServer, RejectsSubmitAfterShutdownAndDuplicateIds) {
   std::promise<void> gate;
   std::shared_future<void> gate_future = gate.get_future().share();
   std::atomic<bool> gated{false};
-  auto f1 = server.submit(make_request(rng, 1, 4, 4),
-                          [&, gate_future](int64_t, int, int, bool) {
-                            if (!gated.exchange(true)) gate_future.wait();
-                          });
-  EXPECT_THROW(server.submit(make_request(rng, 1, 4, 4)), CheckError);
+  auto f1 = server->submit(make_request(rng, 1, 4, 4),
+                           [&, gate_future](int64_t, int, int, bool) {
+                             if (!gated.exchange(true)) gate_future.wait();
+                           });
+  EXPECT_THROW(server->submit(make_request(rng, 1, 4, 4)), CheckError);
   gate.set_value();
   f1.get();
-  server.shutdown();
-  EXPECT_THROW(server.submit(make_request(rng, 2, 4, 4)), CheckError);
+  server->shutdown();
+  EXPECT_THROW(server->submit(make_request(rng, 2, 4, 4)), CheckError);
 }
 
-TEST(AsyncGenerationServer, RejectsNeverAdmittableRequestAtSubmit) {
+TEST(AsyncGenerationShell, IsolatesABadRequestInItsOwnFuture) {
+  // A request that could never be admitted (worst case 2*(2+10) = 24
+  // blocks against an 8-block pool) and one with an out-of-vocab source
+  // token are rejected through their own futures — validation runs on the
+  // worker — without wedging the queue or touching the valid request
+  // behind them, which resolves with the sync engine's tokens.
   GenServerOptions options;
   options.pool = small_pool();
   {
     KvCachePool probe(tiny(), small_pool());
     options.pool.max_bytes = 8 * probe.block_bytes();  // one slab = 8 blocks
   }
-  auto engine = std::make_unique<GenerationServer>(tiny(), options, 29);
-  AsyncGenerationServer server(std::move(engine));
   Rng rng(8);
+  const auto never = make_request(rng, 1, 6, 40);
+  auto out_of_vocab = make_request(rng, 3, 4, 4);
+  out_of_vocab.src_tokens[0] = 9999;
+  const auto valid = make_request(rng, 2, 6, 8);
 
-  // Worst case 2*(2+10) = 24 blocks > 8: impossible ever to admit. Must
-  // throw on the client thread instead of wedging the queue forever.
-  EXPECT_THROW(server.submit(make_request(rng, 1, 6, 40)), CheckError);
-  // Out-of-vocab source tokens must also fail at submit, not crash the
-  // worker mid-serving.
-  auto bad = make_request(rng, 3, 4, 4);
-  bad.src_tokens[0] = 9999;
-  EXPECT_THROW(server.submit(std::move(bad)), CheckError);
-  // A feasible request behind it still gets served.
-  auto f = server.submit(make_request(rng, 2, 6, 8));
-  EXPECT_EQ(f.get().request_id, 2);
-  server.shutdown();
+  GenerationServer reference(make_bundle("model", 1, tiny(), 29), options);
+  reference.submit(valid);
+  const auto expected = reference.run_to_completion();
+  ASSERT_EQ(expected.size(), 1u);
+
+  auto server = async_shell(options);
+  auto f_never = server->submit(never);
+  auto f_vocab = server->submit(std::move(out_of_vocab));
+  auto f_valid = server->submit(valid);
+  EXPECT_THROW(f_never.get(), CheckError);
+  EXPECT_THROW(f_vocab.get(), CheckError);
+  const auto resp = f_valid.get();
+  EXPECT_EQ(resp.request_id, 2);
+  EXPECT_EQ(resp.tokens, expected[0].tokens);
+  server->shutdown();
+  EXPECT_EQ(server->served(), 1u);
 }
 
-TEST(AsyncGenerationServer, OversubscribedPoolPreemptsWithoutGapsOrDuplicates) {
+TEST(AsyncGenerationShell, OversubscribedPoolPreemptsWithoutGapsOrDuplicates) {
   // Concurrent submitters against a pool ~2x oversubscribed by worst-case
   // demand: the worker must preempt and requeue under load, yet every
   // request completes and every stream is gapless and duplicate-free.
@@ -536,9 +592,7 @@ TEST(AsyncGenerationServer, OversubscribedPoolPreemptsWithoutGapsOrDuplicates) {
     options.pool.max_bytes = 3 * 8 * probe.block_bytes();  // 24 blocks
   }
   options.scheduler.max_active = 8;
-  options.scheduler.optimistic_admission = true;
-  auto engine = std::make_unique<GenerationServer>(tiny(), options, 29);
-  AsyncGenerationServer server(std::move(engine));
+  auto server = async_shell(options);
 
   struct Stream {
     std::vector<int> tokens;
@@ -565,7 +619,7 @@ TEST(AsyncGenerationServer, OversubscribedPoolPreemptsWithoutGapsOrDuplicates) {
     submitters.emplace_back([&, tid] {
       for (int k = 0; k < per_thread; ++k) {
         const size_t idx = static_cast<size_t>(tid * per_thread + k);
-        futures[idx] = server.submit(
+        futures[idx] = server->submit(
             requests[idx], [&, eos = requests[idx].eos_id](
                                int64_t id, int token, int step, bool last) {
               std::lock_guard<std::mutex> lock(stream_mutex);
@@ -592,9 +646,11 @@ TEST(AsyncGenerationServer, OversubscribedPoolPreemptsWithoutGapsOrDuplicates) {
       EXPECT_EQ(s.steps[k], static_cast<int>(k)) << "request " << i;
     }
   }
-  server.shutdown();
-  EXPECT_EQ(server.served(), requests.size());
-  const auto snapshot = server.pool_snapshot();
+  server->shutdown();
+  EXPECT_EQ(server->served(), requests.size());
+  const auto stats = server->model_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  const PoolSnapshot& snapshot = stats[0].pool;
   EXPECT_EQ(snapshot.active_sequences, 0);
   EXPECT_EQ(snapshot.device_bytes, 0u);
   EXPECT_GT(snapshot.preemptions, 0u)
@@ -622,7 +678,7 @@ TEST(GenerationServer, ObservedCostsOverrideAnalyticAdmission) {
     // The server's own steps run in microseconds and would drag the table
     // back down; freeze it so the synthetic measurements decide alone.
     options.observe_step_costs = false;
-    GenerationServer server(tiny(), options, 29);
+    GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
     if (warm) {
       // Synthetic fused-step measurements: big batches measured ~0.9 ms
       // per extra sequence. Repeated observations converge the EMA.
@@ -664,7 +720,7 @@ TEST(GenerationServer, StepLatencyFeedsCostTableObserve) {
   options.cost_table = serving::CostTable::warmup(
       [](int, int) { return 1000.0; }, /*max_len=*/64, /*max_batch=*/8,
       /*len_step=*/8);
-  GenerationServer server(tiny(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
   const double before = server.cost_table().batch_cost_ms(16, 4);
   Rng rng(13);
   for (int i = 0; i < 8; ++i) server.submit(make_request(rng, i, 6, 8));
@@ -683,7 +739,7 @@ TEST(GenerationScheduler, CostTableSmallerThanMaxActiveDoesNotAbort) {
   // lookup, not crash.
   options.cost_table = serving::CostTable::warmup(
       [](int len, int batch) { return 0.1 + 0.01 * len * batch; }, 64, 2, 8);
-  GenerationServer server(tiny(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
   Rng rng(9);
   for (int i = 0; i < 6; ++i) server.submit(make_request(rng, i, 4, 4));
   int max_seen_active = 0;
@@ -726,7 +782,7 @@ TEST(GenerationServer, DecoderOnlyRadixSharingDoesNotChangeOutputs) {
     options.pool = small_pool();
     options.pool.enable_radix_tree = radix;
     options.scheduler.max_active = 4;
-    GenerationServer server(config, options, 29);
+    GenerationServer server(make_bundle("model", 1, config, 29), options);
     std::map<int64_t, std::vector<int>> out;
     int prefilled = 0;
     server.set_step_observer(
@@ -763,9 +819,9 @@ TEST(GenerationServer, DecoderOnlyRadixSharingDoesNotChangeOutputs) {
 }
 
 TEST(GenerationServer, RadixTierMoreThanDoublesWarmTurnConcurrency) {
-  // Multi-turn chat on a fixed pool under optimistic admission: every
-  // conversation opens with the same block-aligned system prompt, and each
-  // later turn's prompt is the whole fed history plus fresh user tokens.
+  // Multi-turn chat on a fixed pool: every conversation opens with the
+  // same block-aligned system prompt, and each later turn's prompt is the
+  // whole fed history plus fresh user tokens.
   // With the radix tier on, an admitted sequence adopts its cached prefix
   // (charged once across adopters) and retirees donate their blocks as an
   // uncharged cache tier; off, every sequence prefills every row into
@@ -787,8 +843,7 @@ TEST(GenerationServer, RadixTierMoreThanDoublesWarmTurnConcurrency) {
     options.pool.max_bytes = 128ull * 8 * config.hidden * 2 * sizeof(float);
     options.pool.enable_radix_tree = radix;
     options.scheduler.max_active = 32;
-    options.scheduler.optimistic_admission = true;
-    GenerationServer server(config, options, 29);
+    GenerationServer server(make_bundle("model", 1, config, 29), options);
     size_t active_sum = 0;
     size_t steps = 0;
     server.set_step_observer([&](const StepStats& s) {
@@ -832,15 +887,38 @@ TEST(GenerationServer, RadixTierMoreThanDoublesWarmTurnConcurrency) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked prefill bit-identity (token-quantum stepping vs legacy)
+// Chunked prefill bit-identity (packed token quantum vs one row per step)
 // ---------------------------------------------------------------------------
+
+// Each request served alone at step_token_quantum = 1 on an unbounded
+// pool: one row per step, no batching, no preemption — the per-token
+// order the packed, batched and preempting runs must reproduce.
+// StepDecoding.PooledGreedyMatchesBeamOneDecode ties this path to the
+// dense decode().
+std::map<int64_t, std::vector<int>> one_row_solo_reference(
+    const model::ModelConfig& config,
+    const std::vector<serving::GenerationRequest>& requests) {
+  std::map<int64_t, std::vector<int>> out;
+  for (const auto& r : requests) {
+    GenServerOptions options;
+    options.pool = small_pool();
+    options.scheduler.step_token_quantum = 1;
+    GenerationServer server(make_bundle("model", 1, config, 29), options);
+    server.submit(r);
+    const auto responses = server.run_to_completion();
+    TT_CHECK_EQ(responses.size(), 1u);
+    TT_CHECK_EQ(server.scheduler().total_preempted(), 0u);
+    out[r.id] = responses[0].tokens;
+  }
+  return out;
+}
 
 TEST(GenerationServer, ChunkedPrefillBitIdenticalSeq2Seq) {
   // Quantum stepping reorders work — deferred whole-prompt encode jobs,
   // mixed decode batches, preempt-and-requeue under an oversubscribed
-  // pool — but every request's token stream must match the legacy
-  // encode-at-admission path bit-exactly. Two requests share a prompt so
-  // the follower waits on the creator's deferred encode (cross_ready).
+  // pool — but every request's token stream must match the one-row solo
+  // reference bit-exactly. Two requests share a prompt so the follower
+  // waits on the creator's deferred encode (cross_ready).
   const auto config = tiny();
   Rng rng(47);
   std::vector<serving::GenerationRequest> requests;
@@ -851,41 +929,36 @@ TEST(GenerationServer, ChunkedPrefillBitIdenticalSeq2Seq) {
     requests.push_back(std::move(r));
   }
 
-  auto run = [&](int quantum) {
-    GenServerOptions options;
-    options.pool = small_pool();
-    {
-      KvCachePool probe(tiny(), small_pool());
-      options.pool.max_bytes = 16 * probe.block_bytes();  // 2 slabs
-    }
-    options.scheduler.max_active = 6;
-    options.scheduler.optimistic_admission = true;
-    options.scheduler.step_token_quantum = quantum;
-    GenerationServer server(config, options, 29);
-    for (const auto& r : requests) server.submit(r);
-    std::map<int64_t, std::vector<int>> out;
-    for (auto& resp : server.run_to_completion()) {
-      out[resp.request_id] = std::move(resp.tokens);
-    }
-    server.pool().check_invariants();
-    EXPECT_EQ(server.pool().stats().current_device_bytes, 0u);
-    return std::make_pair(std::move(out), server.pool_snapshot().preemptions);
-  };
+  GenServerOptions options;
+  options.pool = small_pool();
+  {
+    KvCachePool probe(tiny(), small_pool());
+    options.pool.max_bytes = 16 * probe.block_bytes();  // 2 slabs
+  }
+  options.scheduler.max_active = 6;
+  options.scheduler.step_token_quantum = 4;
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
+  for (const auto& r : requests) server.submit(r);
+  std::map<int64_t, std::vector<int>> out;
+  for (auto& resp : server.run_to_completion()) {
+    out[resp.request_id] = std::move(resp.tokens);
+  }
+  server.pool().check_invariants();
+  EXPECT_EQ(server.pool().stats().current_device_bytes, 0u);
 
-  const auto off = run(0);
-  const auto on = run(4);
-  ASSERT_EQ(on.first.size(), requests.size());
-  EXPECT_EQ(on.first, off.first);
-  EXPECT_GT(on.second, 0u) << "pool was not tight enough to preempt";
+  ASSERT_EQ(out.size(), requests.size());
+  EXPECT_EQ(out, one_row_solo_reference(config, requests));
+  EXPECT_GT(server.pool_snapshot().preemptions, 0u)
+      << "pool was not tight enough to preempt";
 }
 
 TEST(GenerationServer, ChunkedPrefillBitIdenticalCausalWithMidPrefillPreempt) {
-  // Decoder-only: four 16-token prompts against a 16-block pool under
-  // optimistic admission. Chunked prefill races all four prompts through
-  // the pool at once, so at least one sequence is preempted before its
-  // prompt finishes feeding (a kPreempt event with zero parked tokens)
-  // and must resume mid-prefill — outputs still match the legacy
-  // one-prompt-token-per-step path bit-exactly.
+  // Decoder-only: four 16-token prompts against a 16-block pool. Chunked
+  // prefill races all four prompts through the pool at once, so at least
+  // one sequence is preempted before its prompt finishes feeding (a
+  // kPreempt event with zero parked tokens) and must resume mid-prefill —
+  // outputs still match the one-prompt-token-per-step solo reference
+  // bit-exactly.
   const auto config = model::ModelConfig::tiny_causal(2, 32, 2, 64, 50);
   Rng rng(53);
   std::vector<serving::GenerationRequest> requests;
@@ -893,38 +966,32 @@ TEST(GenerationServer, ChunkedPrefillBitIdenticalCausalWithMidPrefillPreempt) {
     requests.push_back(make_request(rng, i, 16, 6));
   }
 
-  auto run = [&](int quantum) {
-    GenServerOptions options;
-    options.pool = small_pool();
-    {
-      KvCachePool probe(config, small_pool());
-      options.pool.max_bytes = 16 * probe.block_bytes();
+  GenServerOptions options;
+  options.pool = small_pool();
+  {
+    KvCachePool probe(config, small_pool());
+    options.pool.max_bytes = 16 * probe.block_bytes();
+  }
+  options.scheduler.max_active = 4;
+  options.scheduler.step_token_quantum = 6;
+  options.trace.enabled = true;
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
+  for (const auto& r : requests) server.submit(r);
+  std::map<int64_t, std::vector<int>> out;
+  for (auto& resp : server.run_to_completion()) {
+    out[resp.request_id] = std::move(resp.tokens);
+  }
+  bool mid_prefill_preempt = false;
+  for (const auto& span : server.trace_spans()) {
+    if (span.kind == obs::SpanKind::kPreempt && span.tokens == 0) {
+      mid_prefill_preempt = true;
     }
-    options.scheduler.max_active = 4;
-    options.scheduler.optimistic_admission = true;
-    options.scheduler.step_token_quantum = quantum;
-    options.trace.enabled = true;
-    GenerationServer server(config, options, 29);
-    for (const auto& r : requests) server.submit(r);
-    std::map<int64_t, std::vector<int>> out;
-    for (auto& resp : server.run_to_completion()) {
-      out[resp.request_id] = std::move(resp.tokens);
-    }
-    bool mid_prefill_preempt = false;
-    for (const auto& span : server.trace_spans()) {
-      if (span.kind == obs::SpanKind::kPreempt && span.tokens == 0) {
-        mid_prefill_preempt = true;
-      }
-    }
-    server.pool().check_invariants();
-    return std::make_pair(std::move(out), mid_prefill_preempt);
-  };
+  }
+  server.pool().check_invariants();
 
-  const auto off = run(0);
-  const auto on = run(6);
-  ASSERT_EQ(on.first.size(), requests.size());
-  EXPECT_EQ(on.first, off.first);
-  EXPECT_TRUE(on.second) << "no sequence was preempted mid-prefill";
+  ASSERT_EQ(out.size(), requests.size());
+  EXPECT_EQ(out, one_row_solo_reference(config, requests));
+  EXPECT_TRUE(mid_prefill_preempt) << "no sequence was preempted mid-prefill";
 }
 
 TEST(KvCachePool, PromptHashCollisionsNeverShare) {
@@ -964,7 +1031,7 @@ TEST(GenerationScheduler, RejectsNegativeRequestIds) {
   // must stay non-negative so the two can never collide in the pool.
   GenServerOptions options;
   options.pool = small_pool();
-  GenerationServer server(tiny(), options, 29);
+  GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
   Rng rng(3);
   auto r = make_request(rng, -1, 4, 4);
   EXPECT_THROW(server.submit(r), CheckError);

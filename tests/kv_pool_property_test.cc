@@ -254,11 +254,11 @@ TEST(KvPoolProperty, ForkDivergenceIsExact) {
 }
 
 // Randomized admit / grow / fork / preempt / resume / release
-// interleavings under optimistic admission. The model tracks parked state:
-// a preempted sequence keeps its expected row values (its tokens are
-// parked), must hold no self blocks, and must read back every row exactly
-// after a resume replays them — while refcount conservation holds at every
-// step and the pool never exceeds capacity.
+// interleavings under current-demand admission. The model tracks parked
+// state: a preempted sequence keeps its expected row values (its tokens
+// are parked), must hold no self blocks, and must read back every row
+// exactly after a resume replays them — while refcount conservation holds
+// at every step and the pool never exceeds capacity.
 void run_preemption_interleaving(uint64_t seed, KvPoolOptions opts) {
   const auto config = tiny();
   KvCachePool pool(config, opts);
@@ -310,14 +310,14 @@ void run_preemption_interleaving(uint64_t seed, KvPoolOptions opts) {
       const int max_new = 4 + static_cast<int>(rng.uniform_int(0, 8));
       if (!pool.can_admit_now(prompt)) continue;
       PSeq s;
-      s.kv = pool.admit_optimistic(next_id++, prompt, max_new);
+      s.kv = pool.admit(next_id++, prompt, max_new);
       s.marker = next_marker++;
       s.cross_value = static_cast<float>(prompt[0]) + 7000.0f;
       if (s.kv->needs_cross_init()) init_cross(config, s, s.cross_value);
       live.push_back(std::move(s));
     } else if (kind <= 7) {
-      // Grow one row, optimistically: exhaustion preempts a random other
-      // non-parked sequence (or parks this one when it is alone).
+      // Grow one row through try_ensure_token: exhaustion preempts a
+      // random other non-parked sequence (or parks this one when alone).
       PSeq& s = live[static_cast<size_t>(
           rng.uniform_int(0, static_cast<int64_t>(live.size()) - 1))];
       if (s.parked || s.steps >= s.kv->max_new_tokens()) continue;
@@ -408,7 +408,7 @@ void run_preemption_interleaving(uint64_t seed, KvPoolOptions opts) {
 }
 
 TEST(KvPoolProperty, RandomPreemptRequeueInterleavingsOversubscribed) {
-  // Tight capacity + optimistic admission: admits oversubscribe, growth
+  // Tight capacity + current-demand admission: admits oversubscribe, growth
   // runs the pool dry, preempt/resume churns constantly. No block may
   // leak or double-free, and usage must never exceed capacity.
   auto opts = base_opts();
@@ -877,7 +877,6 @@ void run_chunked_prefill_property(uint64_t seed, KvPoolOptions opts,
       8);
   GenSchedulerOptions sched_opts;
   sched_opts.causal_lm = true;
-  sched_opts.optimistic_admission = true;
   sched_opts.max_active = 4;
   sched_opts.step_token_quantum = quantum;
   sched_opts.prefill_chunk_tokens = chunk_tokens;

@@ -49,7 +49,7 @@ serving::GenerationRequest make_request(Rng& rng, int64_t id, int src_len,
 }
 
 // Uncontended single-model baseline over the same bundle: unbounded pool,
-// worst-case admission, never a preemption.
+// never a preemption.
 std::map<int64_t, std::vector<int>> dedicated_reference(
     const std::shared_ptr<ModelBundle>& bundle,
     const std::vector<serving::GenerationRequest>& requests) {
@@ -249,7 +249,7 @@ TEST(MultiModelServer, QuantumEnginesBitIdenticalUnderBudgetContention) {
   // the shared budget: cross-model reclaim may shed sequences mid-prefill,
   // and sequences whose deferred encode has not run yet are unpreemptible
   // — the reclaim path must tolerate partial sheds. Outputs still match
-  // each model's dedicated legacy (quantum-off) run bit-exactly.
+  // each model's dedicated uncontended run (default quantum) bit-exactly.
   auto bundle_a = make_bundle("a", 1, tiny(), /*seed=*/91);
   auto bundle_b = make_bundle("b", 1, tiny(), /*seed=*/92);
 
@@ -350,6 +350,73 @@ TEST(MultiModelServer, IdleHeadroomIsBorrowedAndReclaimedByItsOwner) {
   EXPECT_EQ(server.budget().used_bytes(), 0u);
 }
 
+TEST(MultiModelServer, ReclaimShedsPendingEncodeJobsInsteadOfLivelocking) {
+  // Two seq2seq models on a two-wide-slab budget, the wide model stepping
+  // first: its two admits take the whole budget, and their encode jobs (23
+  // and 47 source tokens) cannot share one 64-token quantum, so one is
+  // always pending when the starved model's reclaim sheds. If a pending
+  // encode were unpreemptible, every shed would park the sequence that had
+  // just encoded (freeing no slab) and the run would never finish; it must
+  // instead drain in bounded steps, bit-identical to dedicated engines.
+  GenServerOptions engine;
+  engine.pool.block_tokens = 8;
+  engine.pool.blocks_per_slab = 16;
+  engine.scheduler.max_active = 4;
+  engine.scheduler.step_token_quantum = 64;
+  auto base = make_bundle("base", 1, model::ModelConfig::tiny(2, 64, 4, 128,
+                                                              1000),
+                          /*seed=*/2021);
+  auto wide = make_bundle("wide", 1, model::ModelConfig::tiny(2, 128, 8, 256,
+                                                              1000),
+                          /*seed=*/2022);
+  Rng rng(7);
+  std::vector<serving::GenerationRequest> requests;
+  int64_t id = 0;
+  for (const int src_len : {5, 23, 11, 47, 8, 31}) {
+    serving::GenerationRequest r;
+    r.id = id;
+    r.src_tokens = rng.token_ids(src_len, 1000);
+    r.max_new_tokens = 6 + src_len / 4;
+    r.model = id % 2 == 0 ? "base" : "wide";
+    ++id;
+    requests.push_back(std::move(r));
+  }
+  std::map<int64_t, std::vector<int>> reference;
+  for (const auto& bundle : {base, wide}) {
+    GenerationServer dedicated(bundle, engine);
+    for (auto r : requests) {
+      if (r.model != bundle->name) continue;
+      r.model.clear();
+      dedicated.submit(std::move(r));
+    }
+    for (auto& resp : dedicated.run_to_completion()) {
+      reference[resp.request_id] = std::move(resp.tokens);
+    }
+  }
+
+  MultiModelOptions options;
+  options.engine = engine;
+  options.total_kv_bytes = 256 * 1024;
+  MultiModelGenerationServer server(options);
+  server.register_bundle(base, options.total_kv_bytes / 2);
+  server.register_bundle(wide, options.total_kv_bytes / 2);
+  server.step();  // idle: only rotates the step order, so wide goes first
+  for (const auto& r : requests) server.submit(r);
+  int steps = 0;
+  while (!server.idle() && steps < 500) {
+    server.step();
+    ++steps;
+  }
+  ASSERT_TRUE(server.idle()) << "no progress after " << steps << " steps";
+  std::map<int64_t, std::vector<int>> tokens;
+  for (auto& resp : server.take_completed()) {
+    tokens[resp.request_id] = std::move(resp.tokens);
+  }
+  EXPECT_EQ(tokens, reference);
+  EXPECT_GT(server.total_reclaims(), 0u) << "the budget never contended";
+  EXPECT_EQ(server.budget().used_bytes(), 0u);
+}
+
 TEST(MultiModelServer, SharedBudgetOutusesStaticHalvesUnderSkewedLoad) {
   // Two models with different block geometry on one budget B, under
   // skewed load: 32 "heavy" requests with generous output budgets against
@@ -368,7 +435,6 @@ TEST(MultiModelServer, SharedBudgetOutusesStaticHalvesUnderSkewedLoad) {
   engine.pool.block_tokens = 8;
   engine.pool.blocks_per_slab = 8;
   engine.scheduler.max_active = 8;
-  engine.scheduler.optimistic_admission = true;
   const auto dedicated = [&](const std::shared_ptr<ModelBundle>& bundle,
                              const std::vector<serving::GenerationRequest>&
                                  reqs) {
@@ -532,10 +598,14 @@ TEST(MultiModelServer, PerModelStatsBreakdown) {
   server.submit(make_request(rng, 0, 6, 4, "a"));
   server.submit(make_request(rng, 1, 6, 4, "a"));
   server.submit(make_request(rng, 2, 6, 4, "b"));
-  server.step();
-
-  const auto stats = server.stats();
-  ASSERT_EQ(stats.size(), 2u);
+  // The first iteration only runs the prompts' encode jobs; read the
+  // breakdown after the first one that runs decoder rows.
+  std::vector<ModelServingStats> stats;
+  do {
+    ASSERT_GT(server.step(), 0);
+    stats = server.stats();
+    ASSERT_EQ(stats.size(), 2u);
+  } while (stats[0].last_step.step_rows == 0);
   EXPECT_EQ(stats[0].name, "a");
   EXPECT_EQ(stats[0].active, 2u);
   EXPECT_EQ(stats[0].last_step.active, 2);

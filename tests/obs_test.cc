@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,8 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "genserve/generation_server.h"
+#include "genserve/model_bundle.h"
+#include "genserve/multi_model_server.h"
 #include "obs/metrics.h"
 #include "obs/passes.h"
 #include "obs/trace.h"
@@ -383,6 +386,32 @@ TEST(PassesTest, PerSequenceSpansStayOutOfThePhaseTable) {
   EXPECT_NEAR(share_sum, attr.coverage, 1e-9);
 }
 
+TEST(PassesTest, PerSequenceEncodeJobsCountAsStepWork) {
+  // A deferred encode job is recorded per sequence (seq = the sequence it
+  // encodes) but runs inside the step: the phase table and coverage must
+  // count it like any engine-level phase.
+  auto ms = [](double v) { return static_cast<uint64_t>(v * 1e6); };
+  std::vector<TraceSpan> spans;
+  // Step 0: admit 0.1ms, schedule 0.1ms, two encode jobs 0.3ms each,
+  // decode 0.3ms, stream 0.1ms — one millisecond of wall, fully tiled.
+  spans.push_back(make_span(SpanKind::kAdmit, 0, ms(0.0), ms(0.1)));
+  spans.push_back(make_span(SpanKind::kSchedule, 0, ms(0.1), ms(0.2)));
+  spans.push_back(
+      make_span(SpanKind::kEncodePrefill, 0, ms(0.2), ms(0.5), /*seq=*/3));
+  spans.push_back(
+      make_span(SpanKind::kEncodePrefill, 0, ms(0.5), ms(0.8), /*seq=*/4));
+  spans.push_back(make_span(SpanKind::kDecodeStep, 0, ms(0.8), ms(0.9)));
+  spans.push_back(make_span(SpanKind::kStream, 0, ms(0.9), ms(1.0)));
+
+  const PhaseAttribution attr = attribute_phases(spans);
+  EXPECT_EQ(attr.iterations, 1u);
+  EXPECT_NEAR(attr.coverage, 1.0, 1e-9);
+  ASSERT_FALSE(attr.phases.empty());
+  EXPECT_EQ(attr.phases.front().kind, SpanKind::kEncodePrefill);
+  EXPECT_EQ(attr.phases.front().count, 2u);
+  EXPECT_NEAR(attr.phases.front().total_ms, 0.6, 1e-9);
+}
+
 TEST(PassesTest, QueueingBreakdownDecomposesTtft) {
   auto ms = [](double v) { return static_cast<uint64_t>(v * 1e6); };
   std::vector<TraceSpan> spans;
@@ -579,8 +608,9 @@ TEST(TraceIoTest, ChromeTraceJsonEmitsExpectedEventTypes) {
 // --------------------------------------------------------------------------
 // Registry-backed server counters (the dedup satellite)
 
-model::ModelConfig tiny_config() {
-  return model::ModelConfig::tiny(2, 32, 2, 64, 50);
+std::shared_ptr<genserve::ModelBundle> tiny_bundle() {
+  return genserve::make_bundle("tiny", 1,
+                               model::ModelConfig::tiny(2, 32, 2, 64, 50), 1);
 }
 
 std::vector<serving::GenerationRequest> tiny_requests(int n) {
@@ -600,7 +630,7 @@ std::vector<serving::GenerationRequest> tiny_requests(int n) {
 
 TEST(ObsIntegrationTest, TracingOffByDefaultButMetricsAlwaysOn) {
   genserve::GenServerOptions options;
-  genserve::GenerationServer server(tiny_config(), options, 1);
+  genserve::GenerationServer server(tiny_bundle(), options);
   EXPECT_EQ(server.trace_ring(), nullptr);
   for (auto& r : tiny_requests(3)) server.submit(r);
   const auto responses = server.run_to_completion();
@@ -626,7 +656,7 @@ TEST(ObsIntegrationTest, KvPressureGaugesTrackThePool) {
   options.pool.block_tokens = 4;
   options.pool.blocks_per_slab = 4;
   options.pool.max_bytes = 8ull * 4 * 4 * 2 * 32 * sizeof(float);
-  genserve::GenerationServer server(tiny_config(), options, 1);
+  genserve::GenerationServer server(tiny_bundle(), options);
   const auto& reg = *server.metrics();
   const std::string p = server.metric_prefix();
 
@@ -651,8 +681,12 @@ TEST(ObsIntegrationTest, KvPressureGaugesTrackThePool) {
 TEST(ObsIntegrationTest, TracedRunAttributesItsSteps) {
   genserve::GenServerOptions options;
   options.trace.enabled = true;
-  genserve::GenerationServer server(tiny_config(), options, 1);
+  genserve::GenerationServer server(tiny_bundle(), options);
   ASSERT_NE(server.trace_ring(), nullptr);
+  size_t decoding_steps = 0;
+  server.set_step_observer([&](const genserve::StepStats& s) {
+    if (s.step_rows > 0) ++decoding_steps;
+  });
   for (auto& r : tiny_requests(4)) server.submit(r);
   const auto responses = server.run_to_completion();
   ASSERT_EQ(responses.size(), 4u);
@@ -667,7 +701,9 @@ TEST(ObsIntegrationTest, TracedRunAttributesItsSteps) {
     if (s.kind == SpanKind::kDecodeStep && s.seq < 0) ++decode_spans;
     if (s.kind == SpanKind::kStream && s.seq >= 0) ++first_tokens;
   }
-  EXPECT_EQ(decode_spans, static_cast<size_t>(server.iterations()));
+  // One decode span per step that ran decoder rows; a step that only ran
+  // encode jobs has none.
+  EXPECT_EQ(decode_spans, decoding_steps);
   EXPECT_EQ(first_tokens, 4u);  // one first-token event per sequence
 
   const PhaseAttribution attr = attribute_phases(spans);
@@ -681,19 +717,17 @@ TEST(ObsIntegrationTest, TracedRunAttributesItsSteps) {
 
 TEST(ObsIntegrationTest, SharedRegistrySurvivesServerTeardown) {
   // The counters-reset-on-teardown fix: hand one registry to successive
-  // async server incarnations and the lifetime totals accumulate across
+  // async shell incarnations and the lifetime totals accumulate across
   // them instead of restarting from zero.
   auto registry = std::make_shared<Registry>();
   const auto requests = tiny_requests(3);
-  std::string prefix;
+  genserve::MultiModelOptions options;
+  options.engine.metrics = registry;
+  const std::string prefix = "gen.tiny:v1.";  // the bundle's label
   size_t first_served = 0;
   {
-    genserve::GenServerOptions options;
-    options.metrics = registry;
-    auto server = std::make_unique<genserve::GenerationServer>(
-        tiny_config(), options, 1);
-    prefix = server->metric_prefix();
-    genserve::AsyncGenerationServer async(std::move(server));
+    genserve::AsyncMultiModelGenerationServer async(options);
+    async.register_bundle(tiny_bundle()).get();
     std::vector<std::future<serving::GenerationResponse>> futures;
     for (auto r : requests) futures.push_back(async.submit(std::move(r)));
     for (auto& f : futures) f.get();
@@ -705,11 +739,8 @@ TEST(ObsIntegrationTest, SharedRegistrySurvivesServerTeardown) {
             first_served);
 
   {
-    genserve::GenServerOptions options;
-    options.metrics = registry;
-    auto server = std::make_unique<genserve::GenerationServer>(
-        tiny_config(), options, 1);
-    genserve::AsyncGenerationServer async(std::move(server));
+    genserve::AsyncMultiModelGenerationServer async(options);
+    async.register_bundle(tiny_bundle()).get();
     // A fresh shell over the same registry resumes the count.
     EXPECT_EQ(async.served(), first_served);
     auto reqs = tiny_requests(2);
@@ -721,6 +752,8 @@ TEST(ObsIntegrationTest, SharedRegistrySurvivesServerTeardown) {
     for (auto& f : futures) f.get();
     EXPECT_EQ(async.served(), first_served + 2);
   }
+  EXPECT_EQ(registry->counter_value(prefix + "requests_completed"),
+            first_served + 2);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Deterministic preempt-and-requeue scenarios for optimistic admission.
+// Deterministic preempt-and-requeue scenarios for current-demand
+// admission.
 //
 // The contract under test: preemption is invisible to results. A victim
 // surrenders its unshared self blocks (CoW-shared and prefix-shared blocks
@@ -6,9 +7,10 @@
 // and on resume re-derives them bit-identically — same tokens, same
 // logits — because the cross K/V never left the pool and the decoder is
 // deterministic. KvCachePool::check_invariants() runs after every event.
-// An oversubscribed 48-request burst also checks what optimistic admission
-// buys over worst-case reservation, and that a traced preempting run
-// changes nothing and attributes >= 95% of its step time to phases.
+// An oversubscribed 48-request burst also checks that a pool whose
+// reservations far exceed its capacity still serves every request
+// bit-identically, and that a traced preempting run changes nothing and
+// attributes >= 95% of its step time to phases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,13 +102,13 @@ TEST(Preemption, SingleVictimReleasesBlocksAndResumesExactly) {
   KvCachePool pool(config, opts);
   Rng rng(31);
 
-  // Two optimistic admits: current demand (2 cross blocks x 2 layers +
+  // Two admits: current demand (2 cross blocks x 2 layers +
   // 1 self block x 2 layers = 6 each) fits; the summed worst case
   // (blocks_for: 10 + 8 = 18) oversubscribes the 16-block pool.
   const auto prompt_a = rng.token_ids(6, 50);
   const auto prompt_b = rng.token_ids(7, 50);
-  auto a = pool.admit_optimistic(1, prompt_a, 12);
-  auto b = pool.admit_optimistic(2, prompt_b, 8);
+  auto a = pool.admit(1, prompt_a, 12);
+  auto b = pool.admit(2, prompt_b, 8);
   init_cross(config, *a, 10.0f);
   init_cross(config, *b, 20.0f);
   pool.check_invariants();
@@ -242,9 +244,9 @@ TEST(Preemption, SharedPrefixVictimKeepsCrossBlocksResident) {
   Rng rng(35);
   const auto prompt = rng.token_ids(8, 50);
 
-  auto a = pool.admit_optimistic(1, prompt, 6);
+  auto a = pool.admit(1, prompt, 6);
   init_cross(config, *a, 7.0f);
-  auto b = pool.admit_optimistic(2, prompt, 6);
+  auto b = pool.admit(2, prompt, 6);
   EXPECT_FALSE(b->needs_cross_init());
   EXPECT_EQ(pool.prefix_hits(), 1u);
   pool.check_invariants();
@@ -354,7 +356,7 @@ TEST(Preemption, PooledBeamDecodeUnchangedByParkedNeighbors) {
     const auto dense = decoder.decode(memory, max_len, 1, 2, beam);
 
     KvCachePool pool(config, small_pool());
-    auto bystander = pool.admit_optimistic(100, rng.token_ids(5, 50), 8);
+    auto bystander = pool.admit(100, rng.token_ids(5, 50), 8);
     init_cross(config, *bystander, 3.0f);
     for (int t = 0; t < 3; ++t) {
       ASSERT_TRUE(pool.try_ensure_token(*bystander, t));
@@ -392,7 +394,7 @@ std::map<int64_t, std::vector<int>> run_reference(
   GenServerOptions options;
   options.pool = small_pool();  // unbounded: never preempts
   options.scheduler.max_active = 8;
-  GenerationServer server(config, options, 29);
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
   for (const auto& r : requests) server.submit(r);
   std::map<int64_t, std::vector<int>> out;
   for (const auto& resp : server.run_to_completion()) {
@@ -415,8 +417,7 @@ TEST(Preemption, ServerPreemptsAndMatchesUncontendedRunExactly) {
   options.pool = small_pool();
   options.pool.max_bytes = 3 * 8 * pool_block_bytes();  // 24 blocks, tight
   options.scheduler.max_active = 8;
-  options.scheduler.optimistic_admission = true;
-  GenerationServer server(config, options, 29);
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
 
   std::map<int64_t, StreamLog> streams;
   for (const auto& r : requests) {
@@ -476,8 +477,7 @@ TEST(Preemption, CascadingPreemptionStillServesEveryoneIdentically) {
   options.pool = small_pool();
   options.pool.max_bytes = 2 * 8 * pool_block_bytes();  // 16 blocks, brutal
   options.scheduler.max_active = 6;
-  options.scheduler.optimistic_admission = true;
-  GenerationServer server(config, options, 29);
+  GenerationServer server(make_bundle("model", 1, config, 29), options);
   for (const auto& r : requests) server.submit(r);
 
   int max_preempted_in_one_step = 0;
@@ -497,37 +497,37 @@ TEST(Preemption, CascadingPreemptionStillServesEveryoneIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Oversubscribed burst: optimistic admission vs worst-case reservation
+// Oversubscribed burst: reservations far past capacity, served exactly
 // ---------------------------------------------------------------------------
 
-// 48 requests whose output budget (64 tokens, what worst-case admission
-// must reserve) far exceeds what they generate: each request's EOS is a
-// token its own uncontended greedy trajectory emits near a drawn position
-// in 8..24, so "stops early" is identical in every run, preempted or not.
-// The pool holds 32 blocks: one worst-case reservation (~18-20 blocks)
-// fits, two never do.
+// 48 requests whose output budget (64 tokens, what a worst-case
+// reservation would hold) far exceeds what they generate: each request's
+// EOS is a token its own uncontended greedy trajectory emits near a drawn
+// position in 8..24, so "stops early" is identical in every run,
+// preempted or not. The pool holds 32 blocks: one worst-case reservation
+// (~18-20 blocks) fits, two never do.
 struct OversubscribedBurst {
   model::ModelConfig config = model::ModelConfig::tiny(2, 64, 4, 128, 500);
   std::vector<serving::GenerationRequest> requests;
-  // Unbounded pool, worst-case admission: never preempts.
+  // Unbounded pool: never preempts.
   std::map<int64_t, std::vector<int>> reference;
   size_t max_bytes = 0;
 };
 
-GenServerOptions burst_options(size_t max_bytes, bool optimistic) {
+GenServerOptions burst_options(size_t max_bytes) {
   GenServerOptions o;
   o.pool.block_tokens = 8;
   o.pool.blocks_per_slab = 8;
   o.pool.max_bytes = max_bytes;
   o.scheduler.max_active = 8;
-  o.scheduler.optimistic_admission = optimistic;
   return o;
 }
 
 std::map<int64_t, std::vector<int>> run_unbounded(
     const model::ModelConfig& config,
     const std::vector<serving::GenerationRequest>& requests) {
-  GenerationServer server(config, burst_options(0, false), 29);
+  GenerationServer server(make_bundle("model", 1, config, 29),
+                          burst_options(0));
   for (const auto& r : requests) server.submit(r);
   std::map<int64_t, std::vector<int>> out;
   for (auto& resp : server.run_to_completion()) {
@@ -555,19 +555,18 @@ const OversubscribedBurst& oversubscribed_burst() {
                               24);
     b.reference = run_unbounded(b.config, b.requests);
     b.max_bytes =
-        32 * KvCachePool(b.config, burst_options(0, false).pool).block_bytes();
+        32 * KvCachePool(b.config, burst_options(0).pool).block_bytes();
     return b;
   }();
   return burst;
 }
 
-TEST(Preemption, OptimisticAdmissionUtilizesAnOversubscribedPoolBetter) {
-  // Worst-case reservation admits a sequence only when its whole output
-  // budget fits, so it serializes this burst; optimistic admission
-  // charges only today's blocks, packs the step batch, and pays with
-  // preemptions whose replays change no token.
+TEST(Preemption, OversubscribedBurstPreemptsAndMatchesUnboundedRun) {
+  // Admission charges only today's blocks, so the step batch packs a pool
+  // whose worst cases oversubscribe it; the run pays with preemptions
+  // whose replays change no token.
   const auto& burst = oversubscribed_burst();
-  KvCachePool probe(burst.config, burst_options(0, false).pool);
+  KvCachePool probe(burst.config, burst_options(0).pool);
   size_t step_batch_worst = 0;  // worst case of a full eight-deep batch
   for (int i = 0; i < 8; ++i) {
     const auto& r = burst.requests[static_cast<size_t>(i)];
@@ -579,41 +578,18 @@ TEST(Preemption, OptimisticAdmissionUtilizesAnOversubscribedPoolBetter) {
             1.5 * static_cast<double>(pool_blocks))
       << "the workload no longer oversubscribes the pool";
 
-  struct Run {
-    double mean_utilization = 0.0;  // mean blocks_in_use / max_blocks
-    size_t preemptions = 0;
-  };
-  const auto run = [&](bool optimistic) {
-    GenerationServer server(burst.config,
-                            burst_options(burst.max_bytes, optimistic), 29);
-    size_t in_use_sum = 0;
-    server.set_step_observer(
-        [&](const StepStats& s) { in_use_sum += s.kv_blocks_in_use; });
-    for (const auto& r : burst.requests) server.submit(r);
-    const auto responses = server.run_to_completion();
-    EXPECT_EQ(responses.size(), burst.requests.size());
-    for (const auto& resp : responses) {
-      EXPECT_EQ(resp.tokens, burst.reference.at(resp.request_id))
-          << "request " << resp.request_id << " optimistic " << optimistic;
-    }
-    EXPECT_EQ(server.pool().stats().current_device_bytes, 0u);
-    Run r;
-    r.mean_utilization =
-        static_cast<double>(in_use_sum) /
-        (static_cast<double>(server.iterations()) *
-         static_cast<double>(server.pool().max_blocks()));
-    r.preemptions = server.scheduler().total_preempted();
-    return r;
-  };
-  const Run worst = run(false);
-  const Run optimistic = run(true);
-  EXPECT_EQ(worst.preemptions, 0u);
-  EXPECT_GT(optimistic.preemptions, 0u) << "the contention was not real";
-  // Structural: the mean per-step utilization read 3.54x when this was
-  // recorded (71.8% vs 20.3%).
-  EXPECT_GT(optimistic.mean_utilization, worst.mean_utilization)
-      << "optimistic " << optimistic.mean_utilization << " vs worst-case "
-      << worst.mean_utilization;
+  GenerationServer server(make_bundle("model", 1, burst.config, 29),
+                          burst_options(burst.max_bytes));
+  for (const auto& r : burst.requests) server.submit(r);
+  const auto responses = server.run_to_completion();
+  EXPECT_EQ(responses.size(), burst.requests.size());
+  for (const auto& resp : responses) {
+    EXPECT_EQ(resp.tokens, burst.reference.at(resp.request_id))
+        << "request " << resp.request_id;
+  }
+  EXPECT_GT(server.scheduler().total_preempted(), 0u)
+      << "the contention was not real";
+  EXPECT_EQ(server.pool().stats().current_device_bytes, 0u);
 }
 
 TEST(Preemption, TracedPreemptingRunChangesNothingAndAttributesItsSteps) {
@@ -625,9 +601,10 @@ TEST(Preemption, TracedPreemptingRunChangesNothingAndAttributesItsSteps) {
   // tools/trace_report.
   const auto& burst = oversubscribed_burst();
   const auto run = [&](bool traced) {
-    auto options = burst_options(burst.max_bytes, /*optimistic=*/true);
+    auto options = burst_options(burst.max_bytes);
     options.trace.enabled = traced;
-    auto server = std::make_unique<GenerationServer>(burst.config, options, 29);
+    auto server = std::make_unique<GenerationServer>(
+        make_bundle("model", 1, burst.config, 29), options);
     for (const auto& r : burst.requests) server->submit(r);
     for (const auto& resp : server->run_to_completion()) {
       EXPECT_EQ(resp.tokens, burst.reference.at(resp.request_id))
@@ -668,7 +645,6 @@ class VictimPolicyTest : public ::testing::Test {
     KvCachePool pool(config, pool_opts);
     auto costs = serving::CostTable::warmup(
         [](int len, int batch) { return 0.1 + 0.01 * len * batch; }, 64, 8, 8);
-    scheduler_opts.optimistic_admission = true;
     scheduler_opts.max_active = 3;
     GenerationScheduler scheduler(&pool, &costs, scheduler_opts);
 

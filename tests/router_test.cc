@@ -255,7 +255,6 @@ TEST(RouterTest, SloAwareBeatsRoundRobinOnSloGoodput) {
   engine.pool.block_tokens = 8;
   engine.pool.blocks_per_slab = 8;
   engine.scheduler.max_active = 6;
-  engine.scheduler.optimistic_admission = true;
 
   Rng rng(0x5107);
   bench::TenantSpec tight;
