@@ -22,14 +22,14 @@ void GenerationScheduler::validate(
   TT_CHECK_MSG(!request.src_tokens.empty(),
                "generation request " << request.id << " has no source");
   TT_CHECK_GE(request.max_new_tokens, 1);
-  // Negative ids are the PooledBeamKv id space: a beam search sharing this
-  // pool draws sequence ids downward from -1, and the pool keys live
-  // sequences by id. A request arriving with a negative id would collide
-  // with beam roots, so the partition is enforced at both ends.
+  // Request ids become the `seq` field of trace spans, where a negative
+  // seq marks an engine-level phase span (obs::attribute_phases and the
+  // Chrome trace writer key on `seq < 0`). A negative request id would
+  // file the request's own spans as engine phases.
   TT_CHECK_MSG(request.id >= 0,
                "generation request ids must be non-negative (got "
                    << request.id
-                   << "); negative ids are reserved for pooled beam roots");
+                   << "); negative span seqs mark engine phases");
   // A request whose worst case exceeds the whole pool could never be
   // admitted; accepting it would wedge the FIFO queue forever. The cap
   // doubles as the progress guarantee: the highest-ranked sequence can
@@ -292,14 +292,6 @@ ActiveSequence* GenerationScheduler::pick_victim(
     if (outranks(requester, *seq)) eligible.push_back(seq.get());
   }
   if (eligible.empty()) return nullptr;
-  if (options_.victim_selector) {
-    if (ActiveSequence* chosen = options_.victim_selector(eligible)) {
-      TT_CHECK_MSG(std::find(eligible.begin(), eligible.end(), chosen) !=
-                       eligible.end(),
-                   "victim_selector returned a non-eligible sequence");
-      return chosen;
-    }
-  }
   ActiveSequence* best = eligible.front();
   for (ActiveSequence* cand : eligible) {
     if (options_.victim_policy ==
@@ -467,12 +459,12 @@ GenerationScheduler::StepPlan GenerationScheduler::prepare_step() {
 
   // Extension rounds: deepen prefill/replay chunks round-robin while the
   // budget lasts, up to `chunk` rows per sequence per round so one long
-  // prompt cannot monopolize the quantum. Each extra row goes through the
-  // CoW barrier individually (a chunk may span several blocks, and only
-  // the block receiving a row is copied); on exhaustion the chunk simply
-  // stays short — extensions are opportunistic and never preempt. The
-  // cost gate prices the fused step at its grown row count and stops
-  // extending once the predicted latency would exceed max_step_cost_ms.
+  // prompt cannot monopolize the quantum. Each extra row is backed
+  // individually (a chunk may span several blocks); on exhaustion the
+  // chunk simply stays short — extensions are opportunistic and never
+  // preempt. The cost gate prices the fused step at its grown row count
+  // and stops extending once the predicted latency would exceed
+  // max_step_cost_ms.
   const auto cost_capped = [&](int rows_after, int ctx_after) {
     if (options_.max_step_cost_ms <= 0.0) return false;
     return predicted_step_cost_ms(ctx_after, rows_after) >

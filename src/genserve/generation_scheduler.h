@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,13 +83,6 @@ struct GenSchedulerOptions {
     // costs once the server has fed observe().
     kCheapestRecompute,
   };
-  // Custom victim choice; receives the eligible candidates (every active
-  // sequence the requester outranks) and returns one of them, or nullptr
-  // to defer to victim_policy. Eligibility is not negotiable — it is what
-  // guarantees forward progress.
-  using VictimSelector =
-      std::function<ActiveSequence*(const std::vector<ActiveSequence*>&)>;
-
   int max_active = 8;             // step-batch size cap
   double max_step_cost_ms = 0.0;  // predicted step latency cap; 0 = off
   // Token-quantum budget of one fused step (>= 1). prepare_step assembles
@@ -117,7 +109,6 @@ struct GenSchedulerOptions {
   // their block-aligned fed history to the radix cache tier.
   bool causal_lm = false;
   VictimPolicy victim_policy = VictimPolicy::kMostRecentlyAdmitted;
-  VictimSelector victim_selector;
 };
 
 // Ownership: borrows the pool and cost table (both must outlive it); owns
@@ -174,7 +165,7 @@ class GenerationScheduler {
   struct StepPlan {
     // Sequences that run decoder rows this step; each runs rows
     // [seq->step, seq->step + seq->step_tokens), every row backed by a
-    // pool block (CoW barrier included).
+    // pool block.
     std::vector<ActiveSequence*> stepping;
     // Deferred seq2seq encode jobs: run the encoder over each sequence's
     // source (one forward per sequence — padding-free) and
@@ -193,9 +184,9 @@ class GenerationScheduler {
   // Growth phase of one iteration: pack deferred encode jobs, one row per
   // sequence and prefill/replay chunks under the token budget (see
   // GenSchedulerOptions::step_token_quantum), backing the self rows every
-  // scheduled sequence will write (CoW barrier included) and preempting
-  // victims when the pool is exhausted. A sequence may be parked this
-  // call, either as a victim or by yielding to a higher-priority grower.
+  // scheduled sequence will write and preempting victims when the pool is
+  // exhausted. A sequence may be parked this call, either as a victim or
+  // by yielding to a higher-priority grower.
   StepPlan prepare_step();
 
   const std::vector<std::unique_ptr<ActiveSequence>>& active_set() const {

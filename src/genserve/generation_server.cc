@@ -165,17 +165,40 @@ void GenerationServer::submit(serving::GenerationRequest request,
   scheduler_.enqueue(std::move(request));
 }
 
+GenerationServer::CounterMarks GenerationServer::counter_marks() const {
+  return CounterMarks{scheduler_.total_admitted(), scheduler_.total_preempted(),
+                      scheduler_.total_resumed(),  scheduler_.total_evicted(),
+                      pool_.radix_hits(),          pool_.radix_hit_rows(),
+                      pool_.radix_evictions()};
+}
+
+void GenerationServer::publish_counters() {
+  const CounterMarks now = counter_marks();
+  m_admitted_->add(now.admitted - published_.admitted);
+  m_preempted_->add(now.preempted - published_.preempted);
+  m_resumed_->add(now.resumed - published_.resumed);
+  m_evicted_->add(now.evicted - published_.evicted);
+  m_radix_hits_->add(now.radix_hits - published_.radix_hits);
+  m_radix_hit_rows_->add(now.radix_hit_rows - published_.radix_hit_rows);
+  m_radix_evictions_->add(now.radix_evictions - published_.radix_evictions);
+  published_ = now;
+}
+
+size_t GenerationServer::shed_kv(size_t bytes) {
+  const size_t freed = scheduler_.shed(bytes);
+  publish_counters();
+  return freed;
+}
+
 int GenerationServer::step() {
   const bool tracing = tracer_.enabled();
-  if (tracing) tracer_.set_iteration(iteration_ + 1);
+  // Spans are keyed by call, not by iteration_: a call that runs no rows
+  // (a model starved by the shared budget) still admits, schedules and may
+  // preempt, and must not fold into the next call's step.
+  ++calls_;
+  if (tracing) tracer_.set_iteration(calls_);
   const double now = now_s();
-  const size_t admitted_before = scheduler_.total_admitted();
-  const size_t preempted_before = scheduler_.total_preempted();
-  const size_t resumed_before = scheduler_.total_resumed();
-  const size_t evicted_before = scheduler_.total_evicted();
-  const size_t radix_hits_before = pool_.radix_hits();
-  const size_t radix_hit_rows_before = pool_.radix_hit_rows();
-  const size_t radix_evictions_before = pool_.radix_evictions();
+  const CounterMarks before = counter_marks();
 
   // Iteration-level batch formation: requeued (preempted) sequences resume
   // first, then queued requests join. Seq2seq admits owe the encoder a
@@ -226,7 +249,10 @@ int GenerationServer::step() {
     tracer_.span(obs::SpanKind::kSchedule, t_sched0, obs::now_ticks(),
                  /*seq=*/-1, static_cast<int32_t>(plan.stepping.size()));
   }
-  if (plan.empty()) return 0;
+  if (plan.empty()) {
+    publish_counters();
+    return 0;
+  }
   const int nb_seqs = static_cast<int>(plan.stepping.size());
 
   // Deferred encode jobs: one encoder forward per sequence — exactly the
@@ -430,7 +456,7 @@ int GenerationServer::step() {
     tracer_.span(obs::SpanKind::kStream, t_stream0, obs::now_ticks(),
                  /*seq=*/-1, nb_rows, streamed_now);
     const size_t radix_evicted_now =
-        pool_.radix_evictions() - radix_evictions_before;
+        pool_.radix_evictions() - before.radix_evictions;
     if (radix_evicted_now > 0) {
       tracer_.instant(obs::SpanKind::kRadixEvict, /*seq=*/-1,
                       static_cast<int32_t>(radix_evicted_now));
@@ -439,18 +465,12 @@ int GenerationServer::step() {
 
   ++iteration_;
   m_steps_->add(1);
-  m_admitted_->add(scheduler_.total_admitted() - admitted_before);
-  m_preempted_->add(scheduler_.total_preempted() - preempted_before);
-  m_resumed_->add(scheduler_.total_resumed() - resumed_before);
-  m_evicted_->add(scheduler_.total_evicted() - evicted_before);
+  publish_counters();
   m_replayed_->add(static_cast<uint64_t>(replayed_now));
   m_prefilled_->add(static_cast<uint64_t>(prefilled_now));
   m_prefill_chunks_->add(static_cast<uint64_t>(chunked_now));
   m_tokens_->add(static_cast<uint64_t>(streamed_now));
   m_completed_->add(retired.size());
-  m_radix_hits_->add(pool_.radix_hits() - radix_hits_before);
-  m_radix_hit_rows_->add(pool_.radix_hit_rows() - radix_hit_rows_before);
-  m_radix_evictions_->add(pool_.radix_evictions() - radix_evictions_before);
   g_radix_cached_blocks_->set(
       static_cast<double>(pool_.radix_cached_blocks()));
   g_radix_evictable_blocks_->set(
@@ -472,7 +492,7 @@ int GenerationServer::step() {
     stats.active = nb_seqs;
     stats.step_rows = nb_rows;
     stats.admitted =
-        static_cast<int>(scheduler_.total_admitted() - admitted_before);
+        static_cast<int>(scheduler_.total_admitted() - before.admitted);
     // First admits that skipped work via sharing: a prompt match for
     // seq2seq (encoder skipped), a radix prefix hit for causal (prompt
     // rows adopted). Resumed sequences are excluded from both counts.
@@ -480,11 +500,11 @@ int GenerationServer::step() {
         causal_ ? radix_admits : stats.admitted - fresh_encoded;
     stats.retired = static_cast<int>(retired.size());
     stats.preempted =
-        static_cast<int>(scheduler_.total_preempted() - preempted_before);
+        static_cast<int>(scheduler_.total_preempted() - before.preempted);
     stats.resumed =
-        static_cast<int>(scheduler_.total_resumed() - resumed_before);
+        static_cast<int>(scheduler_.total_resumed() - before.resumed);
     stats.evicted =
-        static_cast<int>(scheduler_.total_evicted() - evicted_before);
+        static_cast<int>(scheduler_.total_evicted() - before.evicted);
     stats.replayed = replayed_now;
     stats.prefilled = prefilled_now;
     stats.prefill_chunks = chunked_now;
@@ -493,7 +513,6 @@ int GenerationServer::step() {
     stats.kv_bytes_in_use = pool_.bytes_in_use();
     stats.kv_device_bytes = pool_.stats().current_device_bytes;
     stats.kv_blocks_in_use = pool_.blocks_in_use();
-    stats.kv_blocks_reserved = pool_.blocks_reserved();
     observer_(stats);
   }
   return nb_seqs + static_cast<int>(plan.encode.size());

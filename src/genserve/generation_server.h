@@ -98,8 +98,6 @@ struct StepStats {
   size_t kv_bytes_in_use = 0;       // live sequences' blocks
   size_t kv_device_bytes = 0;       // slab footprint (device reservation)
   size_t kv_blocks_in_use = 0;      // unique live blocks
-  size_t kv_blocks_reserved = 0;    // worst-case reservations (may exceed
-                                    // capacity: the oversubscription)
 };
 
 // Snapshot of pool pressure plus preemption activity, assembled by
@@ -173,7 +171,9 @@ class GenerationServer {
               serving::TokenCallback on_token = nullptr);
 
   // One scheduler iteration + one fused decode step. Returns the number of
-  // sequences stepped (0 = server idle).
+  // sequences stepped (0 = nothing ran: idle, or starved of KV capacity).
+  // Only calls that run rows count as iterations (iterations(), StepStats,
+  // "steps"), but every call publishes its admissions and preemptions.
   int step();
 
   // Step until idle, then hand over everything completed so far.
@@ -191,7 +191,7 @@ class GenerationServer {
   // Cross-pool budget reclaim entry point (multi-model serving): preempt
   // this engine's lowest-ranked sequences until `bytes` of slab footprint
   // freed (see GenerationScheduler::shed). Worker-thread only.
-  size_t shed_kv(size_t bytes) { return scheduler_.shed(bytes); }
+  size_t shed_kv(size_t bytes);
   const serving::CostTable& cost_table() const { return costs_; }
   // The live admission dictionary (tests feed synthetic observe()
   // measurements through this; the step loop feeds real ones).
@@ -227,6 +227,15 @@ class GenerationServer {
   double now_s() const;
   // Resolves the cached metric handles out of metrics_ (constructor tail).
   void bind_metrics();
+  // Scheduler and pool lifetime totals mirrored into registry counters.
+  // publish_counters() adds what changed since the last publish, so the
+  // counters catch every step() call, idle ones included, and every shed.
+  struct CounterMarks {
+    size_t admitted = 0, preempted = 0, resumed = 0, evicted = 0;
+    size_t radix_hits = 0, radix_hit_rows = 0, radix_evictions = 0;
+  };
+  CounterMarks counter_marks() const;
+  void publish_counters();
 
   std::shared_ptr<ModelBundle> bundle_;  // pinned until the engine dies
   model::ModelConfig config_;            // copy of bundle_->config
@@ -241,7 +250,9 @@ class GenerationServer {
   StepObserver observer_;
   bool observe_costs_ = true;
   double observe_alpha_ = 0.25;
-  int64_t iteration_ = 0;
+  int64_t iteration_ = 0;  // step() calls that ran rows
+  int64_t calls_ = 0;      // every step() call: the trace span key
+  CounterMarks published_;  // totals the registry counters last caught
   std::chrono::steady_clock::time_point epoch_;
 
   // Observability. The tracer is disabled unless options.trace asked for a

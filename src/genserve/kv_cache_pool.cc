@@ -194,16 +194,6 @@ KvCachePool::SharePlan KvCachePool::plan_share(
   return plan;
 }
 
-size_t KvCachePool::blocks_for_prompt(const std::vector<int>& prompt_tokens,
-                                      int max_new_tokens) const {
-  if (plan_share(prompt_tokens).share_id >= 0) {
-    // The prompt is resident: its cross blocks (and their reservation) are
-    // already charged to the live share, so only the self side is marginal.
-    return self_blocks_for(max_new_tokens);
-  }
-  return blocks_for(static_cast<int>(prompt_tokens.size()), max_new_tokens);
-}
-
 size_t KvCachePool::max_blocks() const {
   size_t cap = std::numeric_limits<size_t>::max();
   if (options_.max_bytes > 0) {
@@ -241,16 +231,6 @@ size_t KvCachePool::max_blocks_ceiling() const {
   return cap;
 }
 
-bool KvCachePool::can_admit(int s_src, int max_new_tokens) const {
-  return blocks_reserved_ + blocks_for(s_src, max_new_tokens) <= max_blocks();
-}
-
-bool KvCachePool::can_admit_prompt(const std::vector<int>& prompt_tokens,
-                                   int max_new_tokens) const {
-  return blocks_reserved_ + blocks_for_prompt(prompt_tokens, max_new_tokens) <=
-         max_blocks();
-}
-
 uint64_t KvCachePool::prompt_hash(const std::vector<int>& prompt_tokens) const {
   // Exact-match confirmation happens against the stored prompt, so
   // collisions cost a compare, never correctness (the override exists so
@@ -278,10 +258,8 @@ int64_t KvCachePool::create_share(std::vector<int> prompt_tokens, int s_src) {
   // A causal share owns no cross blocks and nothing to encode: born ready,
   // so needs_cross_init() is always false for decoder-only sequences.
   share.ready = (s_src == 0);
-  share.reserved_blocks = cross_blocks_for(s_src);
-  blocks_reserved_ += share.reserved_blocks;
   const size_t per_layer =
-      share.reserved_blocks / static_cast<size_t>(num_layers_);
+      cross_blocks_for(s_src) / static_cast<size_t>(num_layers_);
   share.blocks.resize(static_cast<size_t>(num_layers_));
   for (auto& layer : share.blocks) {
     for (size_t i = 0; i < per_layer; ++i) layer.push_back(alloc_block());
@@ -301,7 +279,6 @@ void KvCachePool::unref_share(int64_t share_id) {
   for (const auto& layer : share.blocks) {
     for (const int b : layer) unref_block(b);
   }
-  blocks_reserved_ -= share.reserved_blocks;
   const auto [begin, end] = prompt_index_.equal_range(share.key);
   for (auto it = begin; it != end; ++it) {
     if (it->second == share_id) {
@@ -329,28 +306,13 @@ std::unique_ptr<SequenceKv> KvCachePool::admit_with_share(int64_t seq_id,
     seq->cross_creator_ = true;
   }
   if (!created_share) ++prefix_hits_;
-
-  seq->reserved_blocks_ = self_blocks_for(max_new_tokens);
-  blocks_reserved_ += seq->reserved_blocks_;
   ++active_;
 
   seq->self_blocks_.resize(static_cast<size_t>(num_layers_));
   make_room(static_cast<size_t>(num_layers_));
   for (auto& layer : seq->self_blocks_) layer.push_back(alloc_block());
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
   live_.insert(seq.get());
   return seq;
-}
-
-std::unique_ptr<SequenceKv> KvCachePool::admit(int64_t seq_id, int s_src,
-                                               int max_new_tokens) {
-  TT_CHECK_MSG(can_admit(s_src, max_new_tokens),
-               "KV pool over capacity admitting sequence " << seq_id);
-  // No prompt key: the share is anonymous (never matched), but still owns
-  // the cross blocks so forks of this sequence share them refcounted.
-  const int64_t share_id = create_share({}, s_src);
-  return admit_with_share(seq_id, s_src, max_new_tokens, share_id,
-                          /*created_share=*/true);
 }
 
 size_t KvCachePool::blocks_for_admit_now(
@@ -414,9 +376,6 @@ std::unique_ptr<SequenceKv> KvCachePool::admit(
       created ? create_share(prompt_tokens,
                              static_cast<int>(prompt_tokens.size()))
               : plan.share_id;
-  // The worst case still lands in blocks_reserved_ (inside
-  // admit_with_share); that sum may exceed max_blocks() — the overshoot is
-  // exactly the oversubscription that preempt-and-requeue absorbs.
   return admit_with_share(seq_id, static_cast<int>(prompt_tokens.size()),
                           max_new_tokens, share_id, created);
 }
@@ -485,15 +444,13 @@ std::unique_ptr<SequenceKv> KvCachePool::admit_causal(
       static_cast<int>(prompt_tokens.size()) + max_new_tokens;
   // The share is empty (s_src 0): nothing to encode, no cross blocks, but
   // keeping the share object lets causal sequences reuse the whole
-  // seq2seq lifecycle (fork refcounts, release, invariants) unchanged.
+  // seq2seq lifecycle (release, invariants) unchanged.
   const int64_t share_id = create_share({}, /*s_src=*/0);
   std::unique_ptr<SequenceKv> seq(
       new SequenceKv(this, seq_id, /*s_src=*/0, total_rows));
   seq->causal_ = true;
   seq->share_id_ = share_id;
   ++shares_.at(share_id).refs;
-  seq->reserved_blocks_ = self_blocks_for(total_rows);
-  blocks_reserved_ += seq->reserved_blocks_;
   ++active_;
   seq->self_blocks_.resize(static_cast<size_t>(num_layers_));
   // Pin before making room: the chain must never be evicted out from
@@ -501,7 +458,6 @@ std::unique_ptr<SequenceKv> KvCachePool::admit_causal(
   attach_radix(*seq, plan);
   make_room(static_cast<size_t>(num_layers_));
   for (auto& layer : seq->self_blocks_) layer.push_back(alloc_block());
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
   live_.insert(seq.get());
   return seq;
 }
@@ -530,13 +486,10 @@ void KvCachePool::resume_causal(SequenceKv& seq, const CausalPlan& plan) {
                "KV pool out of blocks resuming causal sequence " << seq.id_);
   seq.parked_ = false;
   --parked_;
-  seq.reserved_blocks_ = self_blocks_for(seq.max_new_);
-  blocks_reserved_ += seq.reserved_blocks_;
   attach_radix(seq, plan);
   make_room(static_cast<size_t>(num_layers_));
   for (auto& layer : seq.self_blocks_) layer.push_back(alloc_block());
   tracker_.on_resume();
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
 }
 
 void KvCachePool::attach_radix(SequenceKv& seq, const CausalPlan& plan) {
@@ -605,9 +558,9 @@ size_t KvCachePool::charged_blocks() const {
   if (radix_ == nullptr) return blocks_in_use_;
   // Discount only tier bytes that eviction would actually hand back to the
   // free list: blocks of unpinned nodes held by nothing but the tree. A
-  // donated block still CoW-shared with a live sequence (a fork of the
-  // donor, or another adopter's chain) frees nothing when its node is
-  // evicted — counting it as headroom would let admission gates pass and
+  // donated block still held by a live sequence (the donor's own handle
+  // until release, or another adopter's chain) frees nothing when its node
+  // is evicted — counting it as headroom would let admission gates pass and
   // then blow the byte cap when make_room runs dry. Unpinned nodes never
   // have pinned descendants (chains pin root-first), so every block
   // counted here is genuinely reachable by LRU leaf eviction.
@@ -639,8 +592,7 @@ void KvCachePool::preempt(SequenceKv& seq) {
   TT_CHECK_MSG(!seq.needs_cross_init(),
                "preempting sequence " << seq.id_ << " before cross init");
   const size_t before = blocks_in_use_;
-  // Drop every self reference. A block CoW-shared with a fork stays live
-  // through the other holders — only the victim's unshared storage frees.
+  // Drop every self reference; only the victim's unshared storage frees.
   // An adopted radix prefix is surrendered too (unpinned back into the
   // evictable tier); resume re-plans against the tree, so a prefix that
   // survives eviction until then is re-adopted instead of replayed.
@@ -649,8 +601,6 @@ void KvCachePool::preempt(SequenceKv& seq) {
     for (const int b : layer) unref_block(b);
     layer.clear();
   }
-  blocks_reserved_ -= seq.reserved_blocks_;
-  seq.reserved_blocks_ = 0;
   seq.parked_ = true;
   ++parked_;
   tracker_.on_preempt((before - blocks_in_use_) * block_bytes());
@@ -673,57 +623,9 @@ void KvCachePool::resume(SequenceKv& seq) {
                "KV pool out of blocks resuming sequence " << seq.id_);
   seq.parked_ = false;
   --parked_;
-  seq.reserved_blocks_ = self_blocks_for(seq.max_new_);
-  blocks_reserved_ += seq.reserved_blocks_;
   make_room(static_cast<size_t>(num_layers_));
   for (auto& layer : seq.self_blocks_) layer.push_back(alloc_block());
   tracker_.on_resume();
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
-}
-
-bool KvCachePool::can_fork(const SequenceKv& parent) const {
-  return blocks_reserved_ + self_blocks_for(parent.max_new_) <= max_blocks();
-}
-
-std::unique_ptr<SequenceKv> KvCachePool::fork(const SequenceKv& parent,
-                                              int64_t child_id) {
-  TT_CHECK(!parent.released_);
-  TT_CHECK_MSG(can_fork(parent),
-               "KV pool over capacity forking sequence " << parent.id_);
-  std::unique_ptr<SequenceKv> child(
-      new SequenceKv(this, child_id, parent.s_src_, parent.max_new_));
-  child->share_id_ = parent.share_id_;
-  ++shares_.at(parent.share_id_).refs;
-  // Share every materialized self block; the child copies one only when it
-  // first writes into it (ensure_token's CoW barrier).
-  child->self_blocks_ = parent.self_blocks_;
-  for (const auto& layer : child->self_blocks_) {
-    for (const int b : layer) ref_block(b);
-  }
-  // A causal child inherits the parent's pinned radix prefix — pinning it
-  // again keeps the invariant that every sequence-held tree block belongs
-  // to a pinned node (so the evictable tier is always genuinely freeable).
-  child->causal_ = parent.causal_;
-  child->prefix_rows_ = parent.prefix_rows_;
-  child->radix_chain_ = parent.radix_chain_;
-  if (!child->radix_chain_.empty()) radix_->pin_chain(child->radix_chain_);
-  child->reserved_blocks_ = self_blocks_for(parent.max_new_);
-  blocks_reserved_ += child->reserved_blocks_;
-  ++active_;
-  ++forks_;
-  live_.insert(child.get());
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
-  return child;
-}
-
-void KvCachePool::ensure_token(SequenceKv& seq, int t) {
-  // A sequence admitted behind a worst-case gate (can_admit, can_fork,
-  // can_admit_prompt) reserved every block this call could materialize, so
-  // exhaustion here means the caller admitted on current demand but did
-  // not route growth through try_ensure_token + preemption.
-  TT_CHECK_MSG(try_ensure_token(seq, t),
-               "KV pool exhausted growing sequence " << seq.id_
-                                                     << " to token " << t);
 }
 
 bool KvCachePool::try_ensure_token(SequenceKv& seq, int t) {
@@ -737,18 +639,11 @@ bool KvCachePool::try_ensure_token(SequenceKv& seq, int t) {
   if (seq.causal_) TT_CHECK_GE(t, seq.prefix_rows_);
   const int bt = options_.block_tokens;
   const size_t need = static_cast<size_t>(t / bt) + 1;
-  // Count the new blocks this grow would materialize — growth to cover t
-  // plus a CoW copy when the receiving block is shared (copying frees
-  // nothing: the shared original stays live through its other holders) —
-  // so exhaustion is detected before any state changes.
+  // Count the new blocks this grow would materialize, so exhaustion is
+  // detected before any state changes.
   size_t fresh = 0;
-  for (int layer = 0; layer < num_layers_; ++layer) {
-    const auto& blocks = seq.self_blocks_[static_cast<size_t>(layer)];
-    if (blocks.size() < need) {
-      fresh += need - blocks.size();
-    } else if (block_refs_[static_cast<size_t>(blocks[need - 1])] > 1) {
-      ++fresh;
-    }
+  for (const auto& blocks : seq.self_blocks_) {
+    if (blocks.size() < need) fresh += need - blocks.size();
   }
   if (fresh > 0 && blocks_in_use_ + fresh > max_blocks()) {
     // Reclaim evictable radix nodes before giving up: cached bytes are a
@@ -756,26 +651,13 @@ bool KvCachePool::try_ensure_token(SequenceKv& seq, int t) {
     make_room(fresh);
     if (blocks_in_use_ + fresh > max_blocks()) return false;
   }
-  for (int layer = 0; layer < num_layers_; ++layer) {
-    auto& blocks = seq.self_blocks_[static_cast<size_t>(layer)];
+  for (auto& blocks : seq.self_blocks_) {
     while (blocks.size() < need) blocks.push_back(alloc_block());
-    // Copy-on-write barrier: row t is about to be written, so the block
-    // receiving it must be exclusively owned. Shared history before this
-    // block stays shared.
-    int& target = blocks[need - 1];
-    if (block_refs_[static_cast<size_t>(target)] > 1) {
-      const int fresh_block = alloc_block();
-      std::copy_n(block_ptr(target), block_floats_, block_ptr(fresh_block));
-      unref_block(target);
-      target = fresh_block;
-      ++cow_copies_;
-    }
+    // Row t is about to be written, so the block receiving it must be
+    // exclusively owned: shared blocks (an adopted radix prefix) lie below
+    // prefix_rows(), and donation to the tree happens only at retire.
+    TT_CHECK_EQ(block_refs_[static_cast<size_t>(blocks[need - 1])], 1);
   }
-  // Every holder's reservation covers its worst case (every self block
-  // uniquely owned), so growth and CoW never push usage past the summed
-  // reservations plus the tree-held cache tier — even when reservations
-  // oversubscribe capacity.
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
   return true;
 }
 
@@ -792,7 +674,6 @@ void KvCachePool::release(SequenceKv& seq) {
     shares_.at(seq.share_id_).creator_live = false;
   }
   unref_share(seq.share_id_);
-  blocks_reserved_ -= seq.reserved_blocks_;
   --active_;
   if (seq.parked_) --parked_;
   live_.erase(&seq);
@@ -924,16 +805,14 @@ void KvCachePool::check_invariants() const {
   // reference per holding sequence (self) plus one per share (cross).
   std::vector<int> expected(block_refs_.size(), 0);
   std::unordered_map<const BlockRadixTree::Node*, int> expected_pins;
-  size_t reserved = 0;
   int parked = 0;
   for (const SequenceKv* seq : live_) {
     TT_CHECK(!seq->released_);
     TT_CHECK(shares_.find(seq->share_id_) != shares_.end());
     if (seq->parked_) {
-      // A parked sequence surrendered its self blocks, its reservation and
-      // its radix chain; it holds only its cross share until resume.
+      // A parked sequence surrendered its self blocks and its radix chain;
+      // it holds only its cross share until resume.
       ++parked;
-      TT_CHECK_EQ(seq->reserved_blocks_, 0u);
       for (const auto& layer : seq->self_blocks_) TT_CHECK(layer.empty());
       TT_CHECK(seq->radix_chain_.empty());
       TT_CHECK_EQ(seq->prefix_rows_, 0);
@@ -954,7 +833,6 @@ void KvCachePool::check_invariants() const {
                     seq->self_blocks_[static_cast<size_t>(layer)][i]);
       }
     }
-    reserved += seq->reserved_blocks_;
   }
   TT_CHECK_EQ(parked, parked_);
   if (radix_ != nullptr) {
@@ -972,10 +850,8 @@ void KvCachePool::check_invariants() const {
     for (const auto& layer : share.blocks) {
       for (const int b : layer) ++expected[static_cast<size_t>(b)];
     }
-    reserved += share.reserved_blocks;
   }
   TT_CHECK_EQ(share_refs, live_.size());
-  TT_CHECK_EQ(reserved, blocks_reserved_);
   TT_CHECK_EQ(static_cast<size_t>(active_), live_.size());
 
   size_t unique = 0;
@@ -986,7 +862,7 @@ void KvCachePool::check_invariants() const {
     if (expected[b] > 0) ++unique;
   }
   TT_CHECK_EQ(unique, blocks_in_use_);
-  TT_CHECK_LE(blocks_in_use_, blocks_reserved_ + radix_cached_blocks());
+  TT_CHECK_LE(blocks_in_use_, max_blocks());
 
   const size_t per_slab = static_cast<size_t>(options_.blocks_per_slab);
   std::vector<int> slab_live(slabs_.size(), 0);
@@ -1016,34 +892,6 @@ void KvCachePool::check_invariants() const {
     TT_CHECK(it != shares_.end());
     TT_CHECK_EQ(it->second.key, key);
   }
-}
-
-// ---------------------------------------------------------------------------
-// PooledBeamKv
-// ---------------------------------------------------------------------------
-
-PooledBeamKv::PooledBeamKv(KvCachePool* pool, int64_t first_id)
-    : pool_(pool), next_id_(first_id) {
-  TT_CHECK(pool_ != nullptr);
-  // Beam ids descend from first_id while server request ids ascend from 0;
-  // a non-negative start would eventually collide with a served sequence
-  // in a shared pool.
-  TT_CHECK_MSG(first_id < 0, "PooledBeamKv first_id must be negative, got "
-                                 << first_id);
-}
-
-std::unique_ptr<model::KvCacheView> PooledBeamKv::create(int s_src,
-                                                         int max_len) {
-  return pool_->admit(next_id_--, s_src, max_len);
-}
-
-std::unique_ptr<model::KvCacheView> PooledBeamKv::fork(
-    model::KvCacheView& parent) {
-  return pool_->fork(static_cast<SequenceKv&>(parent), next_id_--);
-}
-
-void PooledBeamKv::prepare_token(model::KvCacheView& cache, int t) {
-  pool_->ensure_token(static_cast<SequenceKv&>(cache), t);
 }
 
 }  // namespace turbo::genserve

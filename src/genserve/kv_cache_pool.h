@@ -1,5 +1,5 @@
-// Slab-based K/V block pool for generation serving, with refcounted blocks,
-// prompt-prefix sharing and copy-on-write forking.
+// Slab-based K/V block pool for generation serving, with refcounted blocks
+// and prompt-prefix sharing.
 //
 // The paper's model-aware allocator (§4.2) plans tensors whose lifetimes
 // close within one inference. Decoder K/V caches break that assumption:
@@ -22,33 +22,16 @@
 //    *full* prompt: the encoder is bidirectional, so the cross K/V of every
 //    source position depends on the whole sentence; sharing a shorter
 //    common prefix would change numerics. Block-granular prefix reuse is
-//    what fork() provides on the self side, where causal masking makes it
-//    exact.
-//  * fork() (pooled beam search): a forked sequence shares *all* of its
-//    parent's blocks. Self blocks are copy-on-write — a block is copied
-//    only when a sequence is about to write a token row into a block it
-//    does not exclusively own (ensure_token is the write barrier; the hot
-//    row accessors stay branch-free). Beams therefore share their common
-//    history physically and diverge one block at a time.
-//  * Every sequence tallies a worst-case reservation of the blocks it may
-//    come to own *uniquely* into blocks_reserved(): self rows for
-//    `max_new_tokens` per layer, plus — only when its prompt is not
-//    already resident — cross rows for its source length. The cross
-//    reservation is charged once per live prompt (it lives with the share,
-//    not the sequence), so shared prefix blocks count a single time.
-//  * The prompt-keyed admit() joins a sequence when its *current* marginal
-//    demand fits (cold cross blocks + one self block per layer); the
-//    reservations may then oversubscribe capacity. Growth goes through
-//    try_ensure_token(), which reports exhaustion instead of allocating
-//    past capacity; the scheduler reacts by preempting a victim —
-//    preempt() releases the victim's unshared self blocks back to the free
-//    list but keeps its cross share resident (parked), so resume()
-//    re-admits without re-encoding and the victim re-derives its self rows
-//    by replaying its own generated tokens.
-//  * The promptless admit() and fork() are gated on the worst case
-//    (can_admit / can_fork), so a pooled beam search over them can grow
-//    and copy-on-write through the throwing ensure_token() without ever
-//    running out: capacity is never exceeded by construction.
+//    what the radix tier provides on the causal self side, where causal
+//    masking makes it exact.
+//  * Admission is on *current* demand: admit() joins a sequence when its
+//    marginal blocks right now fit (cold cross blocks + one self block per
+//    layer). Growth goes through try_ensure_token(), which reports
+//    exhaustion instead of allocating past capacity; the scheduler reacts
+//    by preempting a victim — preempt() releases the victim's self blocks
+//    back to the free list but keeps its cross share resident (parked), so
+//    resume() re-admits without re-encoding and the victim re-derives its
+//    self rows by replaying its own generated tokens.
 //  * Release drops refcounts; a block returns to the free list only when
 //    its last owner releases, and slabs that became empty free their
 //    buffers, so the device footprint tracks the unique working set — the
@@ -80,7 +63,7 @@ struct KvPoolOptions {
   int blocks_per_slab = 32; // blocks per device slab
   size_t max_bytes = 0;     // cap on slab footprint; 0 = unbounded
   // When false, admit() never matches prompts: every sequence gets private
-  // cross blocks (fork()'s CoW still works). The reference arm of
+  // cross blocks. The reference arm of
   // GenerationServer.PrefixSharingDoesNotChangeOutputs.
   bool enable_prefix_sharing = true;
   // When false, plan_causal() never matches and retiring causal sequences
@@ -104,9 +87,8 @@ struct KvPoolOptions {
   // destruction.
   //
   // Capacity under a shared budget can shrink *between* a sequence's
-  // admission and its growth (another pool borrows the headroom), so a
-  // worst-case gate's never-fails guarantee does not hold across pools;
-  // the scheduler's try_ensure_token + preemption path absorbs it.
+  // admission and its growth (another pool borrows the headroom); the
+  // scheduler's try_ensure_token + preemption path absorbs it.
   memory::SlabBudget* slab_budget = nullptr;
   std::string budget_client_name;
   size_t budget_guarantee_bytes = 0;
@@ -115,8 +97,8 @@ struct KvPoolOptions {
 class KvCachePool;
 
 // Per-sequence K/V handle; implements the decoder's cache interface over
-// pool blocks. Created by KvCachePool::admit or fork, auto-released on
-// destruction.
+// pool blocks. Created by KvCachePool::admit or admit_causal, auto-released
+// on destruction.
 //
 // Ownership: move-only handle returned by the pool; destroying it releases
 // every block reference it holds. The pool must outlive all of its
@@ -126,9 +108,9 @@ class KvCachePool;
 // the pool's owning thread (see KvCachePool).
 // Invariants: row accessors and extents only cover positions already
 // materialized — cross rows exist from admit, self row t after
-// ensure_token(t). Writing a self row without the preceding ensure_token
-// call breaks CoW isolation; the accessors themselves stay branch-free by
-// contract.
+// try_ensure_token(t). The block receiving row t is exclusively owned
+// (try_ensure_token checks it); the accessors themselves stay branch-free
+// by contract.
 class SequenceKv final : public model::KvCacheView {
  public:
   ~SequenceKv() override;
@@ -170,7 +152,7 @@ class SequenceKv final : public model::KvCacheView {
   // deferred (quantum-scheduled) encoding a follower can be admitted before
   // its creator encoded; it must not step until this turns true.
   bool cross_ready() const;
-  // Cross-block share this sequence references (-1 for promptless admits).
+  // Cross-block share this sequence references (empty for causal ones).
   // Two sequences with the same share id read the same cross K/V, so a
   // scheduler can tell whether a pending encode job unblocks a follower.
   int64_t share_id() const { return share_id_; }
@@ -185,11 +167,10 @@ class SequenceKv final : public model::KvCacheView {
 
   // Paged-attention geometry: one KvSpan per backing block, in token-
   // position order (block i covers rows [i*bt, (i+1)*bt); the last span is
-  // truncated to `count` / src_len()). Works identically on CoW-shared
-  // blocks — sharing only affects writes (ensure_token's barrier), never
-  // where reads live. Self extents require ensure_token(count - 1) to have
-  // run; physical order of spans tracks however the free list fragmented,
-  // which is invisible to the decoder.
+  // truncated to `count` / src_len()). Works identically on shared blocks
+  // (a prompt's cross share, an adopted radix prefix). Self extents require
+  // try_ensure_token(count - 1) to have run; physical order of spans tracks
+  // however the free list fragmented, which is invisible to the decoder.
   void self_extents(int layer, int count,
                     std::vector<model::KvSpan>& out) override;
   void cross_extents(int layer, std::vector<model::KvSpan>& out) override;
@@ -204,7 +185,6 @@ class SequenceKv final : public model::KvCacheView {
   int64_t id_;
   int s_src_;
   int max_new_;
-  size_t reserved_blocks_ = 0;  // self worst case (cross lives in the share)
   bool released_ = false;
   bool parked_ = false;   // preempted: self blocks surrendered, share kept
   bool cross_creator_ = false;  // this admit owes the share its cross init
@@ -222,8 +202,8 @@ class SequenceKv final : public model::KvCacheView {
 // handles that reference (never own) block storage. Borrowed by
 // GenerationScheduler and GenerationServer; must outlive every handle and
 // borrower.
-// Thread-safety: externally synchronized. All mutating calls (admit, fork,
-// ensure_token, sequence destruction) must come from one thread at a time
+// Thread-safety: externally synchronized. All mutating calls (admit,
+// try_ensure_token, sequence destruction) must come from one thread at a time
 // — in the serving stack that is the async shell's worker. Only the
 // immutable-geometry readers (block_bytes, blocks_for, max_blocks) are
 // safe to call concurrently with mutation; they are what validate() uses
@@ -234,15 +214,10 @@ class SequenceKv final : public model::KvCacheView {
 //    sequences (self), shares (cross) and radix nodes; blocks_in_use_
 //    counts unique live blocks; a parked sequence holds no self blocks and
 //    no radix chain;
-//  * blocks_in_use() <= blocks_reserved() + radix_cached_blocks() at every
-//    point between public calls (tree-only blocks are the slack; every
-//    other block is covered by a holder's reservation). Worst-case gated
-//    admits additionally keep blocks_reserved() <= max_blocks(), so grow
-//    and CoW can never fail mid-decode — the radix tier preserves this
-//    because unpinned nodes are always evictable down to zero; the
-//    current-demand admits let reservations oversubscribe capacity and
-//    instead keep blocks_in_use() <= max_blocks() by failing
-//    try_ensure_token;
+//  * blocks_in_use() <= max_blocks() at every point between public calls:
+//    admits gate on current demand and try_ensure_token fails instead of
+//    allocating past capacity (the radix tier's unpinned nodes are evicted
+//    first);
 //  * a freed block is on the free list of a live slab; empty slabs hold no
 //    buffer; the device footprint returns to exactly zero when the last
 //    sequence releases.
@@ -256,13 +231,9 @@ class KvCachePool {
   KvCachePool& operator=(const KvCachePool&) = delete;
 
   size_t block_bytes() const { return block_floats_ * sizeof(float); }
-  // Worst-case block demand of one sequence with a cold (unshared) prompt.
+  // Worst-case block demand of one sequence with a cold (unshared) prompt:
+  // request validation's never-admittable cap.
   size_t blocks_for(int s_src, int max_new_tokens) const;
-  // Marginal worst-case demand of admitting `prompt_tokens` right now:
-  // drops the cross-block term when the prompt is already resident, so
-  // shared prefix blocks are charged against capacity exactly once.
-  size_t blocks_for_prompt(const std::vector<int>& prompt_tokens,
-                           int max_new_tokens) const;
   // Pool capacity in blocks right now. For a budget-attached pool this is
   // dynamic: the pool's own slabs plus whatever whole slabs the shared
   // budget could still back (shrinks as sibling pools borrow, grows back
@@ -281,15 +252,6 @@ class KvCachePool {
   bool capacity_borrowed_elsewhere() const {
     return max_blocks() < max_blocks_ceiling();
   }
-  // Worst-case gates: true when the whole worst case of a promptless admit
-  // (can_admit) or of a prompt-keyed admit (can_admit_prompt, marginal:
-  // a resident prompt costs no cross blocks) still fits next to every
-  // reservation. A caller that gates on these keeps ensure_token's
-  // never-fails guarantee.
-  bool can_admit(int s_src, int max_new_tokens) const;
-  bool can_admit_prompt(const std::vector<int>& prompt_tokens,
-                        int max_new_tokens) const;
-
   // Resolved share lookup, computed once per admission attempt, so the
   // gate and the admit do the prompt re-hash + compare exactly once. A
   // plan is a point-in-time snapshot: use it for one admission on the
@@ -301,7 +263,7 @@ class KvCachePool {
 
   // Marginal blocks an admit of `prompt_tokens` would materialize *right
   // now*: cross blocks when the prompt is cold, plus one self block per
-  // layer. This is what admission gates on, instead of the worst case.
+  // layer. This is what admission gates on.
   // `headroom_blocks` keeps capacity uncommitted for the near-term growth
   // of sequences already running (the scheduler passes one
   // boundary-crossing per active sequence), damping admit-then-
@@ -328,22 +290,14 @@ class KvCachePool {
   // Begin a sequence lifetime keyed by its prompt tokens: map cross blocks
   // to an existing live prompt match (refcount++) or allocate them, and
   // allocate the first self block per layer. Throws CheckError unless
-  // can_admit_now. The worst case is still added to blocks_reserved() —
-  // that total may exceed max_blocks(); the overshoot is the pool's
-  // oversubscription. Growth must go through try_ensure_token, and the
-  // caller must be prepared to preempt() a victim when it fails (or gate
-  // on can_admit_prompt first).
+  // can_admit_now. Growth goes through try_ensure_token, and the caller
+  // must be prepared to preempt() a victim when it fails.
   std::unique_ptr<SequenceKv> admit(int64_t seq_id,
                                     const std::vector<int>& prompt_tokens,
                                     int max_new_tokens);
   std::unique_ptr<SequenceKv> admit(int64_t seq_id,
                                     const std::vector<int>& prompt_tokens,
                                     int max_new_tokens, const SharePlan& plan);
-  // Promptless admission (no sharing key): private cross blocks, reserved
-  // like blocks_for. Throws CheckError unless can_admit. Used by pooled
-  // beam roots over raw encoder memory.
-  std::unique_ptr<SequenceKv> admit(int64_t seq_id, int s_src,
-                                    int max_new_tokens);
 
   // --- Causal (decoder-only) admission over the radix tier --------------
   // A causal sequence has no encoder: its prompt is prefilled through the
@@ -381,12 +335,11 @@ class KvCachePool {
   // rows beyond the plan's prefix are part of the immediate demand.
   bool can_readmit_causal_now(const CausalPlan& plan, int token_rows,
                               size_t headroom_blocks = 0) const;
-  // Admit a decoder-only sequence: empty cross share (never encoded),
-  // reservation for prompt + max_new self rows, prefix chain adopted from
-  // `plan` (pinned + refcounted into the sequence), first fresh self block
+  // Admit a decoder-only sequence: empty cross share (never encoded), up
+  // to prompt + max_new self rows, prefix chain adopted from `plan`
+  // (pinned + refcounted into the sequence), first fresh self block
   // allocated. Throws CheckError unless can_admit_causal_now(plan). The
-  // caller prefills from step prefix_rows(). The reservation may
-  // oversubscribe capacity, exactly like the prompt-keyed admit.
+  // caller prefills from step prefix_rows().
   std::unique_ptr<SequenceKv> admit_causal(
       int64_t seq_id, const std::vector<int>& prompt_tokens,
       int max_new_tokens, const CausalPlan& plan);
@@ -415,13 +368,12 @@ class KvCachePool {
   // the admission gates see them as free).
   size_t charged_blocks() const;
 
-  // Preempt `seq`: drop every self-block reference it holds (physical
-  // blocks it shared CoW with a fork stay live through the other holders)
-  // and zero its reservation, but keep its cross share referenced so a
-  // later resume() skips the encoder. The handle stays live in a parked
-  // state; row accessors and growth are invalid until resume. Requires
-  // cross init to have completed (preempting a sequence that still owes
-  // its share the encoder pass would wedge the share).
+  // Preempt `seq`: drop every self-block reference it holds (an adopted
+  // radix prefix stays live through the tree), but keep its cross share
+  // referenced so a later resume() skips the encoder. The handle stays
+  // live in a parked state; row accessors and growth are invalid until
+  // resume. Requires cross init to have completed (preempting a sequence
+  // that still owes its share the encoder pass would wedge the share).
   void preempt(SequenceKv& seq);
   // Can `seq` rejoin right now? `token_rows` is how many self rows it will
   // re-materialize immediately (its parked tokens plus the next step) —
@@ -429,33 +381,17 @@ class KvCachePool {
   // sequence straight back out. `headroom_blocks` as in can_admit_now.
   bool can_resume(const SequenceKv& seq, int token_rows = 1,
                   size_t headroom_blocks = 0) const;
-  // Re-admit a parked sequence: recharge its self reservation and give it
-  // its first self block per layer again. The caller re-derives the self
+  // Re-admit a parked sequence: give it its first self block per layer
+  // again. The caller re-derives the self
   // rows by replaying the sequence's generated tokens through the decoder
   // (bit-identical: the cross K/V never left the pool).
   void resume(SequenceKv& seq);
 
-  // Fork `parent` copy-on-write: the child shares every cross and self
-  // block (refcount++ only) and reserves its own self worst case, so it
-  // can later diverge completely without allocation failure. Throws
-  // CheckError when that reservation does not fit — on a bounded pool,
-  // budget one extra self reservation per fork held while the parent is
-  // still live (decode()'s beam reorder forks only parents surviving into
-  // multiple hypotheses; the last child takes the parent's cache over, so
-  // its transient demand is at most beam_size - 1 extra reservations).
-  std::unique_ptr<SequenceKv> fork(const SequenceKv& parent, int64_t child_id);
-  bool can_fork(const SequenceKv& parent) const;
-
   // Grow `seq` so self token position t is backed (per decode step; no-op
-  // when the current blocks already cover t), and copy-on-write the block
-  // that will receive row t if it is not exclusively owned. Must be called
-  // before the decode step that writes row t. Never exceeds the admission
-  // reservation. Throws CheckError on pool exhaustion — impossible for
-  // worst-case gated sequences (promptless admit, fork).
-  void ensure_token(SequenceKv& seq, int t);
-  // Like ensure_token, but returns false (mutating nothing) when backing
-  // row t would push blocks_in_use() past max_blocks(). The scheduler's
-  // growth path: a false return triggers preemption.
+  // when the current blocks already cover t). Must be called before the
+  // decode step that writes row t. Returns false (mutating nothing) when
+  // backing row t would push blocks_in_use() past max_blocks(); the
+  // scheduler's growth path preempts on a false return.
   bool try_ensure_token(SequenceKv& seq, int t);
 
   // Device-activity stats (slab mallocs/frees, current + peak footprint),
@@ -471,8 +407,6 @@ class KvCachePool {
   // Bytes in unique physical blocks held by live sequences (the true
   // working set; a block shared by N sequences counts once).
   size_t bytes_in_use() const { return blocks_in_use_ * block_bytes(); }
-  // Bytes reserved for admitted sequences' worst case (admission control).
-  size_t bytes_reserved() const { return blocks_reserved_ * block_bytes(); }
   size_t blocks_in_use() const { return blocks_in_use_; }
   // High-water mark of blocks_in_use over the pool lifetime (the peak
   // unique working set, independent of slab-granular footprint).
@@ -484,14 +418,11 @@ class KvCachePool {
   // comparing the separate peaks of resident and live bytes (which both
   // saturate under load and cancel), this stays time-correlated.
   size_t peak_waste_bytes() const { return peak_waste_bytes_; }
-  size_t blocks_reserved() const { return blocks_reserved_; }
   int active_sequences() const { return active_; }
   int num_slabs() const;
 
   // Sharing-activity counters (monotonic over the pool lifetime).
   size_t prefix_hits() const { return prefix_hits_; }   // admits that shared
-  size_t cow_copies() const { return cow_copies_; }     // CoW block copies
-  size_t forks() const { return forks_; }
   // Radix-tier counters (monotonic) and gauges.
   size_t radix_hits() const { return radix_hits_; }       // admits/resumes
   size_t radix_hit_rows() const { return radix_hit_rows_; }  // rows skipped
@@ -512,7 +443,7 @@ class KvCachePool {
   // per-block refcounts equal the references actually held by sequences
   // and shares, blocks_in_use_ equals the number of unique live blocks,
   // per-slab live counts and the free list are consistent, and usage never
-  // exceeds reservation. Throws CheckError on violation. O(pool size);
+  // exceeds capacity. Throws CheckError on violation. O(pool size);
   // meant for tests.
   void check_invariants() const;
 
@@ -527,15 +458,12 @@ class KvCachePool {
   };
 
   // Cross-attention blocks for one live prompt, shared by every sequence
-  // (and fork) decoding from it. The cross worst-case reservation lives
-  // here so it is charged once however many sequences share the prompt,
-  // and released only when the last of them does.
+  // decoding from it and released only when the last of them does.
   struct CrossShare {
-    std::vector<int> prompt;  // empty for promptless (unshareable) admits
+    std::vector<int> prompt;  // empty for causal (unshareable) admits
     uint64_t key = 0;
     std::vector<std::vector<int>> blocks;  // [layer][i]
     int refs = 0;
-    size_t reserved_blocks = 0;
     bool ready = false;           // init_cross_attention has run
     bool creator_live = false;    // a live sequence owns initialization
   };
@@ -586,7 +514,6 @@ class KvCachePool {
   size_t blocks_in_use_ = 0;
   size_t peak_blocks_in_use_ = 0;
   size_t peak_waste_bytes_ = 0;
-  size_t blocks_reserved_ = 0;
   int active_ = 0;
   int parked_ = 0;
   memory::DeviceTracker tracker_;
@@ -604,32 +531,9 @@ class KvCachePool {
   std::unique_ptr<BlockRadixTree> radix_;
 
   size_t prefix_hits_ = 0;
-  size_t cow_copies_ = 0;
-  size_t forks_ = 0;
   size_t radix_hits_ = 0;
   size_t radix_hit_rows_ = 0;
   size_t radix_evictions_ = 0;
-};
-
-// model::BeamKvFactory over a KvCachePool: decode()'s beam search allocates
-// its root cache with admit() and reorders beams with fork(), so unchanged
-// history is shared copy-on-write instead of deep-copied per beam.
-class PooledBeamKv final : public model::BeamKvFactory {
- public:
-  // Sequence ids are drawn from `first_id` downward (negative), keeping
-  // them clear of server-issued request ids in shared pools: servers issue
-  // ids >= 0 growing upward, beam roots take < 0 growing downward, so the
-  // two spaces can never collide. The constructor enforces first_id < 0
-  // (a non-negative start would march straight into server id territory).
-  explicit PooledBeamKv(KvCachePool* pool, int64_t first_id = -1);
-
-  std::unique_ptr<model::KvCacheView> create(int s_src, int max_len) override;
-  std::unique_ptr<model::KvCacheView> fork(model::KvCacheView& parent) override;
-  void prepare_token(model::KvCacheView& cache, int t) override;
-
- private:
-  KvCachePool* pool_;
-  int64_t next_id_;
 };
 
 }  // namespace turbo::genserve

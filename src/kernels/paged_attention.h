@@ -16,7 +16,7 @@
 // Numerics: every build gives the same bits, and no result depends on how
 // the rows are split into spans, on the row's position in a step batch or
 // on the thread count. So a sequence in a dense cache (one span) and the
-// same sequence in any pool layout (fragmented, copy-on-write shared)
+// same sequence in any pool layout (fragmented, prefix-shared)
 // decode bit-identically.
 //   - qk: each (head, row) score is the dot of gemm.h's trans_b contract:
 //     16 partial sums starting at +0, lane l taking features dd = l mod 16

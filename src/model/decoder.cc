@@ -23,30 +23,7 @@ void log_softmax_row(float* row, int n) {
   for (int i = 0; i < n; ++i) row[i] -= lse;
 }
 
-// The default factory: beam reordering deep-copies DenseKvCaches (whose
-// copy constructor shares the immutable cross K/V and clones the self
-// caches — exactly what beam reordering needs).
-class DenseBeamKv final : public BeamKvFactory {
- public:
-  DenseBeamKv(const ModelConfig& config) : config_(config) {}
-
-  std::unique_ptr<KvCacheView> create(int s_src, int max_len) override {
-    return std::make_unique<DenseKvCache>(config_, max_len, s_src);
-  }
-  std::unique_ptr<KvCacheView> fork(KvCacheView& parent) override {
-    return std::make_unique<DenseKvCache>(static_cast<DenseKvCache&>(parent));
-  }
-
- private:
-  const ModelConfig& config_;
-};
-
 }  // namespace
-
-void BeamKvFactory::prepare_token(KvCacheView& cache, int t) {
-  (void)cache;
-  (void)t;  // dense caches pre-allocate max_len rows; nothing to do
-}
 
 // ---------------------------------------------------------------------------
 // DenseKvCache
@@ -308,8 +285,8 @@ void Seq2SeqDecoder::attend(KvCacheView& cache, int layer, bool self_side,
 }
 
 Hypothesis Seq2SeqDecoder::decode(const Tensor& memory, int max_len,
-                                  int bos_id, int eos_id, int beam_size,
-                                  BeamKvFactory* kv) const {
+                                  int bos_id, int eos_id,
+                                  int beam_size) const {
   TT_CHECK_MSG(!config_.decoder_only,
                "decode() beam search requires encoder memory; decoder-only "
                "models are served through GenerationServer's causal path");
@@ -320,14 +297,11 @@ Hypothesis Seq2SeqDecoder::decode(const Tensor& memory, int max_len,
   TT_CHECK_GE(max_len, 1);
   const int vocab = config_.vocab;
 
-  DenseBeamKv dense(config_);
-  if (kv == nullptr) kv = &dense;
-
   std::vector<Hypothesis> beams(1);
   beams[0].tokens = {bos_id};
-  std::vector<std::unique_ptr<KvCacheView>> caches;
-  // Cross-attention K/V once per sentence; beam forks share them.
-  caches.push_back(kv->create(s_src, max_len));
+  std::vector<std::unique_ptr<DenseKvCache>> caches;
+  // Cross-attention K/V once per sentence; beam copies share them.
+  caches.push_back(std::make_unique<DenseKvCache>(config_, max_len, s_src));
   init_cross_attention(memory, *caches[0]);
   std::vector<Hypothesis> finished;
 
@@ -338,7 +312,6 @@ Hypothesis Seq2SeqDecoder::decode(const Tensor& memory, int max_len,
     const int nb = static_cast<int>(beams.size());
     std::vector<StepSlot> slots(static_cast<size_t>(nb));
     for (int b = 0; b < nb; ++b) {
-      kv->prepare_token(*caches[static_cast<size_t>(b)], t);
       slots[static_cast<size_t>(b)] = StepSlot{
           beams[static_cast<size_t>(b)].tokens.back(), t,
           caches[static_cast<size_t>(b)].get()};
@@ -385,20 +358,18 @@ Hypothesis Seq2SeqDecoder::decode(const Tensor& memory, int max_len,
 
     // Self-attention caches follow surviving hypotheses (cross K/V
     // shared). A parent's last child takes the parent's cache over
-    // outright — greedy decode and self-continuing beams never fork, and
-    // the transient reservation of a reorder is bounded by the extra
-    // children, not by 2x the beam. Only parents surviving into multiple
-    // hypotheses fork (dense: deep copy; pooled: refcount + CoW).
+    // outright — greedy decode and self-continuing beams never copy. Only
+    // parents surviving into multiple hypotheses are copied.
     std::vector<int> remaining(static_cast<size_t>(nb), 0);
     for (const int p : parents) ++remaining[static_cast<size_t>(p)];
-    std::vector<std::unique_ptr<KvCacheView>> next_caches;
+    std::vector<std::unique_ptr<DenseKvCache>> next_caches;
     next_caches.reserve(next.size());
     for (size_t b = 0; b < next.size(); ++b) {
       const size_t p = static_cast<size_t>(parents[b]);
       if (--remaining[p] == 0) {
         next_caches.push_back(std::move(caches[p]));
       } else {
-        next_caches.push_back(kv->fork(*caches[p]));
+        next_caches.push_back(std::make_unique<DenseKvCache>(*caches[p]));
       }
     }
     caches = std::move(next_caches);

@@ -60,8 +60,8 @@ class KvCacheView {
   // reads K/V: overwrite `out` with contiguous spans covering self token
   // rows [0, count) — respectively cross rows [0, src_len()) — in position
   // order. Implementations must only report rows that are already
-  // materialized (for pool caches, ensure_token up to count - 1 must have
-  // run). The span kernels' results do not depend on how the rows split
+  // materialized (for pool caches, try_ensure_token up to count - 1 must
+  // have run). The span kernels' results do not depend on how the rows split
   // into spans, so any two caches holding the same rows decode
   // bit-identically (kernels/paged_attention.h).
   virtual void self_extents(int layer, int count,
@@ -96,23 +96,6 @@ class DenseKvCache final : public KvCacheView {
   int s_src_ = 0;
   std::vector<std::vector<float>> self_k_, self_v_;  // [L][max_len * H]
   std::shared_ptr<CrossKv> cross_;
-};
-
-// Per-beam cache allocation strategy for decode(). Beam search needs three
-// cache operations: create the root, fork a surviving hypothesis's cache
-// when the beam reorders, and prepare a cache for the step that writes self
-// row t. The default (dense) factory deep-copies DenseKvCache on fork;
-// genserve::PooledBeamKv instead forks refcounted pool blocks and uses
-// prepare_token as the copy-on-write barrier, so beams share their common
-// history physically. Both produce bit-identical decode results — the
-// factory only changes where K/V rows live, never their values.
-class BeamKvFactory {
- public:
-  virtual ~BeamKvFactory() = default;
-  virtual std::unique_ptr<KvCacheView> create(int s_src, int max_len) = 0;
-  virtual std::unique_ptr<KvCacheView> fork(KvCacheView& parent) = 0;
-  // Called before the decode step that writes self row t of `cache`.
-  virtual void prepare_token(KvCacheView& cache, int t);
 };
 
 // Reusable scratch for step(): callers on the serving hot path keep one
@@ -153,13 +136,10 @@ class Seq2SeqDecoder {
 
   // memory: encoder output [S_src, H] for one sentence. Returns the best
   // hypothesis after beam search (beam_size >= 1; 1 = greedy), implemented
-  // on top of step() with one cache per live beam. `kv` chooses where beam
-  // caches live: nullptr decodes over DenseKvCaches (fork = deep copy); a
-  // genserve::PooledBeamKv decodes through the block pool, sharing
-  // unchanged history across beams copy-on-write. The result is
-  // bit-identical either way.
+  // on top of step() with one DenseKvCache per live beam (a reorder copies
+  // the parent's cache).
   Hypothesis decode(const Tensor& memory, int max_len, int bos_id, int eos_id,
-                    int beam_size, BeamKvFactory* kv = nullptr) const;
+                    int beam_size) const;
 
   const ModelConfig& config() const { return config_; }
   const DecoderWeights& weights() const { return weights_; }

@@ -1,7 +1,7 @@
 // Step-level tracing: typed spans in a lock-free, fixed-capacity ring.
 //
 // The serving stack now has five interacting mechanisms (iteration-level
-// scheduling, CoW prefix sharing, paged decode, preempt-and-requeue,
+// scheduling, prefix sharing, paged decode, preempt-and-requeue,
 // multi-model slab borrowing); a p99 regression cannot be attributed to
 // queueing vs. prefill vs. preemption churn from coarse aggregates alone.
 // Following PerFlow's pass-based bottleneck analysis and Orca's
@@ -81,7 +81,7 @@ struct TraceSpan {
   SpanKind kind = SpanKind::kAdmit;
   int32_t model_version = 0;
   int64_t seq = -1;          // sequence (request) id; -1 = engine phase span
-  int64_t iteration = 0;     // engine iteration the span belongs to
+  int64_t iteration = 0;     // engine step() call the span belongs to
   int32_t batch = 0;         // decode/schedule: batch size; admit: admitted
   int32_t tokens = 0;        // decode: tokens emitted; resume: replayed; ...
   uint64_t bytes = 0;        // reclaim: slab bytes freed
@@ -178,7 +178,7 @@ class Tracer {
   explicit operator bool() const { return enabled(); }
 
   // The iteration stamped on subsequent spans (the server sets it once per
-  // step; scheduler-side events inherit it).
+  // step() call, idle calls included; scheduler-side events inherit it).
   void set_iteration(int64_t iteration) { iteration_ = iteration; }
   int64_t iteration() const { return iteration_; }
 

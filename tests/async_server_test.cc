@@ -145,8 +145,8 @@ TEST(AsyncServer, BadRequestSurfacesAsException) {
 // ---------------------------------------------------------------------------
 // Shared-prefix concurrency through the async generation shell
 // (AsyncMultiModelGenerationServer, one bundle): N clients racing
-// identical prompts must all complete, and CoW prefix sharing must keep the
-// peak pool footprint well under N independent worst-case reservations.
+// identical prompts must all complete, and prompt sharing must keep the
+// peak pool footprint well under N independent worst cases.
 // ---------------------------------------------------------------------------
 
 TEST(AsyncGenerationSharedPrefix, ConcurrentClientsShareBlocks) {
@@ -214,9 +214,8 @@ TEST(AsyncGenerationSharedPrefix, ConcurrentClientsShareBlocks) {
   }
   server.shutdown();
 
-  // Peak pool blocks must stay far below N independent worst-case
-  // reservations: the prompt's cross blocks exist once per wave, not once
-  // per request.
+  // Peak pool blocks must stay far below N independent worst cases: the
+  // prompt's cross blocks exist once per wave, not once per request.
   genserve::KvCachePool probe(config, options.pool);
   const size_t worst_case_bytes =
       probe.blocks_for(static_cast<int>(shared_src.size()), max_new_cap) *

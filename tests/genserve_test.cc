@@ -41,6 +41,14 @@ serving::GenerationRequest make_request(Rng& rng, int64_t id, int src_len,
   return r;
 }
 
+// A prompt of `len` tokens starting at `first`: distinct `first`s (or
+// lengths) give distinct prompts, so admits never share cross blocks.
+std::vector<int> prompt_of(int len, int first = 3) {
+  std::vector<int> p(static_cast<size_t>(len));
+  for (int i = 0; i < len; ++i) p[static_cast<size_t>(i)] = first + i;
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // KvCachePool
 // ---------------------------------------------------------------------------
@@ -50,22 +58,21 @@ TEST(KvCachePool, AdmitGrowReleaseAccounting) {
   EXPECT_EQ(pool.bytes_in_use(), 0u);
   EXPECT_EQ(pool.active_sequences(), 0);
 
-  // bt=4, L=2: s_src=6 -> 2 cross blocks/layer, max_new=8 -> reserve
-  // 2 self blocks/layer; admit materializes cross + 1 self per layer.
-  auto seq = pool.admit(7, /*s_src=*/6, /*max_new_tokens=*/8);
-  EXPECT_EQ(pool.blocks_reserved(), 8u);
+  // bt=4, L=2: s_src=6 -> 2 cross blocks/layer; admit materializes cross
+  // + 1 self per layer.
+  auto seq = pool.admit(7, prompt_of(6), /*max_new_tokens=*/8);
   EXPECT_EQ(pool.blocks_in_use(), 6u);
   EXPECT_EQ(pool.active_sequences(), 1);
   EXPECT_EQ(seq->capacity_tokens(), 4);
 
   // Growth within the first block is free; crossing the boundary adds one
   // block per layer.
-  pool.ensure_token(*seq, 3);
+  ASSERT_TRUE(pool.try_ensure_token(*seq, 3));
   EXPECT_EQ(pool.blocks_in_use(), 6u);
-  pool.ensure_token(*seq, 4);
+  ASSERT_TRUE(pool.try_ensure_token(*seq, 4));
   EXPECT_EQ(pool.blocks_in_use(), 8u);
   EXPECT_EQ(seq->capacity_tokens(), 8);
-  EXPECT_LE(pool.blocks_in_use(), pool.blocks_reserved());
+  pool.check_invariants();
 
   const size_t peak = pool.stats().peak_device_bytes;
   EXPECT_GT(peak, 0u);
@@ -73,7 +80,6 @@ TEST(KvCachePool, AdmitGrowReleaseAccounting) {
   // Release: everything returns, empty slabs are freed, footprint drops.
   seq.reset();
   EXPECT_EQ(pool.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.blocks_reserved(), 0u);
   EXPECT_EQ(pool.active_sequences(), 0);
   EXPECT_EQ(pool.stats().current_device_bytes, 0u);
   EXPECT_EQ(pool.num_slabs(), 0);
@@ -86,28 +92,36 @@ TEST(KvCachePool, CapacityIsNeverExceeded) {
   opts.max_bytes = 8 * probe.block_bytes();  // exactly one slab
   KvCachePool pool(tiny(), opts);
 
-  ASSERT_TRUE(pool.can_admit(6, 8));  // needs all 8 blocks
-  auto seq = pool.admit(1, 6, 8);
-  EXPECT_FALSE(pool.can_admit(1, 1));
-  EXPECT_THROW(pool.admit(2, 1, 1), CheckError);
+  // 4 cross + 2 self blocks now; growing past token 3 fills all 8.
+  ASSERT_TRUE(pool.can_admit_now(prompt_of(6)));
+  auto seq = pool.admit(1, prompt_of(6), 12);
+  ASSERT_TRUE(pool.try_ensure_token(*seq, 7));
+  EXPECT_EQ(pool.blocks_in_use(), 8u);
+  EXPECT_FALSE(pool.can_admit_now(prompt_of(1)));
+  EXPECT_THROW(pool.admit(2, prompt_of(1), 1), CheckError);
+  // Growth past capacity fails without mutating anything.
+  EXPECT_FALSE(pool.try_ensure_token(*seq, 8));
+  EXPECT_EQ(pool.blocks_in_use(), 8u);
+  EXPECT_EQ(seq->capacity_tokens(), 8);
+  pool.check_invariants();
 
   seq.reset();
-  EXPECT_TRUE(pool.can_admit(6, 8));
-  auto seq2 = pool.admit(3, 6, 8);
+  EXPECT_TRUE(pool.can_admit_now(prompt_of(6)));
+  auto seq2 = pool.admit(3, prompt_of(6), 8);
   EXPECT_LE(pool.stats().current_device_bytes, opts.max_bytes);
 }
 
 TEST(KvCachePool, SequencesDoNotAlias) {
   const auto config = tiny();
   KvCachePool pool(config, small_pool());
-  auto a = pool.admit(1, 5, 8);
-  auto b = pool.admit(2, 3, 8);
+  auto a = pool.admit(1, prompt_of(5), 8);
+  auto b = pool.admit(2, prompt_of(3), 8);
 
   const int H = config.hidden;
   for (int layer = 0; layer < config.num_layers; ++layer) {
     for (int t = 0; t < 8; ++t) {
-      pool.ensure_token(*a, t);
-      pool.ensure_token(*b, t);
+      ASSERT_TRUE(pool.try_ensure_token(*a, t));
+      ASSERT_TRUE(pool.try_ensure_token(*b, t));
       std::fill(a->self_k(layer, t), a->self_k(layer, t) + H, 1.0f);
       std::fill(b->self_k(layer, t), b->self_k(layer, t) + H, 2.0f);
       std::fill(a->self_v(layer, t), a->self_v(layer, t) + H, 3.0f);
@@ -153,14 +167,14 @@ TEST(StepDecoding, PooledGreedyMatchesBeamOneDecode) {
   const auto reference = decoder.decode(memory, max_new, 1, 2, 1);
 
   KvCachePool pool(config, small_pool());
-  auto kv = pool.admit(1, s_src, max_new);
+  auto kv = pool.admit(1, prompt_of(s_src), max_new);
   decoder.init_cross_attention(memory, *kv);
 
   std::vector<int> generated;
   int last = 1;  // BOS
   std::vector<float> logits(static_cast<size_t>(config.vocab));
   for (int t = 0; t < max_new; ++t) {
-    pool.ensure_token(*kv, t);
+    ASSERT_TRUE(pool.try_ensure_token(*kv, t));
     decoder.step({{last, t, kv.get()}}, logits.data());
     const int token = static_cast<int>(
         std::max_element(logits.begin(), logits.end()) - logits.begin());
@@ -174,101 +188,6 @@ TEST(StepDecoding, PooledGreedyMatchesBeamOneDecode) {
   const std::vector<int> ref_content(reference.tokens.begin() + 1,
                                      reference.tokens.end());
   EXPECT_EQ(generated, ref_content);
-}
-
-// ---------------------------------------------------------------------------
-// Pooled CoW beam search is bit-identical to the DenseKvCache path
-// ---------------------------------------------------------------------------
-
-TEST(PooledBeamDecode, BitIdenticalToDenseAcrossBeamSizes) {
-  const auto config = tiny();
-  model::Seq2SeqDecoder decoder(config, 29);
-  Rng rng(13);
-  const int s_src = 7;
-  const int max_len = 12;
-  Tensor memory = Tensor::owned(Shape{s_src, config.hidden});
-  rng.fill_normal(memory.data<float>(), static_cast<size_t>(memory.numel()),
-                  0.0f, 1.0f);
-
-  for (const int beam : {1, 2, 3}) {
-    const auto dense = decoder.decode(memory, max_len, 1, 2, beam);
-
-    KvCachePool pool(config, small_pool());
-    PooledBeamKv factory(&pool);
-    const auto pooled = decoder.decode(memory, max_len, 1, 2, beam, &factory);
-
-    // Same cache contents, same comparisons, same beam: tokens and the
-    // accumulated log-probability must match bit for bit.
-    EXPECT_EQ(pooled.tokens, dense.tokens) << "beam " << beam;
-    EXPECT_EQ(pooled.log_prob, dense.log_prob) << "beam " << beam;
-    if (beam >= 2) {
-      EXPECT_GT(pool.forks(), 0u);
-    }
-    // decode() released every beam: the pool drains to zero.
-    EXPECT_EQ(pool.active_sequences(), 0);
-    EXPECT_EQ(pool.stats().current_device_bytes, 0u);
-  }
-}
-
-TEST(PooledBeamDecode, ForkedStepLogitsMatchDenseExactly) {
-  // Drive a dense cache and a pooled cache in lockstep through a scripted
-  // fork, comparing every step's logits bitwise. After the fork the two
-  // branches overwrite different suffixes, so the pooled path must CoW
-  // exactly where the dense deep copy diverged.
-  const auto config = tiny();
-  model::Seq2SeqDecoder decoder(config, 31);
-  Rng rng(17);
-  const int s_src = 6;
-  const int max_len = 10;
-  const int vocab = config.vocab;
-  Tensor memory = Tensor::owned(Shape{s_src, config.hidden});
-  rng.fill_normal(memory.data<float>(), static_cast<size_t>(memory.numel()),
-                  0.0f, 1.0f);
-
-  model::DenseKvCache dense_root(config, max_len, s_src);
-  decoder.init_cross_attention(memory, dense_root);
-  KvCachePool pool(config, small_pool());
-  auto pooled_root = pool.admit(1, s_src, max_len);
-  decoder.init_cross_attention(memory, *pooled_root);
-
-  std::vector<float> dense_logits(static_cast<size_t>(vocab));
-  std::vector<float> pooled_logits(static_cast<size_t>(vocab));
-  auto step_pair = [&](model::KvCacheView& dense, SequenceKv& pooled,
-                       int token, int t) {
-    pool.ensure_token(pooled, t);
-    decoder.step({{token, t, &dense}}, dense_logits.data());
-    decoder.step({{token, t, &pooled}}, pooled_logits.data());
-    for (int i = 0; i < vocab; ++i) {
-      ASSERT_EQ(pooled_logits[static_cast<size_t>(i)],
-                dense_logits[static_cast<size_t>(i)])
-          << "step " << t << " logit " << i;
-    }
-  };
-
-  // Shared history: 5 steps (crosses the 4-token block boundary).
-  std::vector<int> history = {1, 5, 9, 13, 17};
-  for (int t = 0; t < static_cast<int>(history.size()); ++t) {
-    step_pair(dense_root, *pooled_root, history[static_cast<size_t>(t)], t);
-  }
-
-  model::DenseKvCache dense_fork(dense_root);  // deep copy
-  auto pooled_fork = pool.fork(*pooled_root, 2);
-  EXPECT_GT(pool.blocks_in_use(), 0u);
-  pool.check_invariants();
-
-  // Divergent suffixes: parent and fork write different tokens into the
-  // same positions; each pooled branch must match its dense twin.
-  const int t0 = static_cast<int>(history.size());
-  for (int k = 0; k < 4; ++k) {
-    step_pair(dense_root, *pooled_root, 20 + k, t0 + k);
-    step_pair(dense_fork, *pooled_fork, 30 + k, t0 + k);
-  }
-  EXPECT_GT(pool.cow_copies(), 0u);
-  pool.check_invariants();
-
-  pooled_fork.reset();
-  pooled_root.reset();
-  EXPECT_EQ(pool.stats().current_device_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,23 +946,14 @@ TEST(KvCachePool, PromptHashCollisionsNeverShare) {
 }
 
 TEST(GenerationScheduler, RejectsNegativeRequestIds) {
-  // Negative sequence ids are the pooled-beam namespace; server requests
-  // must stay non-negative so the two can never collide in the pool.
+  // Negative span seqs mark engine-level phase spans in traces, so a
+  // request id must be non-negative to keep its spans sequence-level.
   GenServerOptions options;
   options.pool = small_pool();
   GenerationServer server(make_bundle("model", 1, tiny(), 29), options);
   Rng rng(3);
   auto r = make_request(rng, -1, 4, 4);
   EXPECT_THROW(server.submit(r), CheckError);
-}
-
-TEST(PooledBeamDecode, BeamRootIdsMustBeNegative) {
-  const auto config = tiny();
-  KvCachePool pool(config, small_pool());
-  EXPECT_THROW(PooledBeamKv(&pool, 0), CheckError);
-  EXPECT_THROW(PooledBeamKv(&pool, 7), CheckError);
-  PooledBeamKv beams(&pool, -1);  // the reserved namespace is fine
-  (void)beams;
 }
 
 }  // namespace

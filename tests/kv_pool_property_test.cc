@@ -1,20 +1,19 @@
-// Randomized property tests for the copy-on-write KvCachePool.
+// Randomized property tests for the refcounted KvCachePool.
 //
 // A model of the pool is maintained alongside the real one: every sequence
-// remembers the exact K/V values it (or the ancestor it was forked from)
-// wrote into each self row, and the value its prompt's cross rows were
-// initialized with. Random interleavings of admit / grow-write / fork /
-// release then check, after every operation:
+// remembers the exact K/V values it wrote into each self row, and the value
+// its prompt's cross rows were initialized with. Random interleavings of
+// admit / grow-write / release then check, after every operation:
 //
 //  * refcount conservation — KvCachePool::check_invariants() rebuilds each
 //    block's expected refcount from the live sequences and prompt shares
 //    and compares it with the pool's counters, free list and slab
 //    occupancy;
 //  * no aliasing — each sequence's recorded rows still read back exactly,
-//    so no write through one sequence (including CoW divergence after
-//    fork) can leak into an unrelated sequence's blocks;
+//    so no write through one sequence can leak into an unrelated
+//    sequence's blocks;
 //  * exact drain — after all releases the DeviceTracker footprint, slab
-//    count, refcounts and reservations return exactly to zero.
+//    count and refcounts return exactly to zero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,10 +45,12 @@ float row_value(int marker, int t) {
   return static_cast<float>(marker) * 100.0f + static_cast<float>(t);
 }
 
-void write_next_row(const model::ModelConfig& config, KvCachePool& pool,
+// Grows `s` by one row and writes it; false (nothing written) when the
+// pool is out of blocks.
+bool write_next_row(const model::ModelConfig& config, KvCachePool& pool,
                     ModelSeq& s) {
   const int t = s.steps;
-  pool.ensure_token(*s.kv, t);
+  if (!pool.try_ensure_token(*s.kv, t)) return false;
   const float v = row_value(s.marker, t);
   for (int layer = 0; layer < config.num_layers; ++layer) {
     std::fill_n(s.kv->self_k(layer, t), config.hidden, v);
@@ -57,6 +58,7 @@ void write_next_row(const model::ModelConfig& config, KvCachePool& pool,
   }
   s.expected.push_back(v);
   ++s.steps;
+  return true;
 }
 
 void init_cross(const model::ModelConfig& config, ModelSeq& s, float value) {
@@ -113,7 +115,7 @@ void run_interleaving(uint64_t seed, KvPoolOptions opts) {
       const auto& prompt =
           prompts[static_cast<size_t>(rng.uniform_int(0, kTemplates - 1))];
       const int max_new = 4 + static_cast<int>(rng.uniform_int(0, 8));
-      if (!pool.can_admit_prompt(prompt, max_new)) continue;
+      if (!pool.can_admit_now(prompt)) continue;
       ModelSeq s;
       s.kv = pool.admit(next_id++, prompt, max_new);
       s.marker = next_marker++;
@@ -122,24 +124,12 @@ void run_interleaving(uint64_t seed, KvPoolOptions opts) {
       s.cross_value = static_cast<float>(prompt[0]) + 7000.0f;
       if (s.kv->needs_cross_init()) init_cross(config, s, s.cross_value);
       live.push_back(std::move(s));
-    } else if (kind <= 5) {
-      // Write the next token row of a random sequence (grow + CoW barrier).
+    } else if (kind <= 7) {
+      // Write the next token row of a random sequence; on a full pool the
+      // grow fails and nothing changes.
       ModelSeq& s = live[static_cast<size_t>(
           rng.uniform_int(0, static_cast<int64_t>(live.size()) - 1))];
       if (s.steps < s.kv->max_new_tokens()) write_next_row(config, pool, s);
-    } else if (kind <= 7) {
-      // Fork a random sequence: the child shares all history, then writes
-      // under its own marker so parent/child divergence is observable.
-      ModelSeq& parent = live[static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int64_t>(live.size()) - 1))];
-      if (!pool.can_fork(*parent.kv)) continue;
-      ModelSeq child;
-      child.kv = pool.fork(*parent.kv, next_id++);
-      child.steps = parent.steps;
-      child.marker = next_marker++;
-      child.cross_value = parent.cross_value;
-      child.expected = parent.expected;
-      live.push_back(std::move(child));
     } else {
       // Release a random sequence, verifying its content first.
       const size_t idx = static_cast<size_t>(
@@ -159,7 +149,6 @@ void run_interleaving(uint64_t seed, KvPoolOptions opts) {
   }
   EXPECT_EQ(pool.active_sequences(), 0);
   EXPECT_EQ(pool.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.blocks_reserved(), 0u);
   EXPECT_EQ(pool.num_slabs(), 0);
   EXPECT_EQ(pool.stats().current_device_bytes, 0u);
   EXPECT_EQ(pool.stats().device_malloc_bytes, pool.stats().device_free_bytes);
@@ -179,9 +168,8 @@ TEST(KvPoolProperty, RandomInterleavingsUnbounded) {
 }
 
 TEST(KvPoolProperty, RandomInterleavingsBoundedPool) {
-  // A tight capacity forces admission rejections, slab sweep + slot reuse
-  // and CoW under pressure; the reservation discipline must still make
-  // every grow/fork succeed once admitted.
+  // A tight capacity forces admission rejections, failed grows and slab
+  // sweep + slot reuse; a failed grow must change nothing.
   auto opts = base_opts();
   const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
                             KvCachePool(tiny(), opts).block_bytes();
@@ -192,8 +180,8 @@ TEST(KvPoolProperty, RandomInterleavingsBoundedPool) {
 }
 
 TEST(KvPoolProperty, RandomInterleavingsSharingDisabled) {
-  // With prefix matching off every admit owns private cross blocks, but
-  // fork CoW still shares; all invariants must hold identically.
+  // With prefix matching off every admit owns private cross blocks; all
+  // invariants must hold identically.
   auto opts = base_opts();
   opts.enable_prefix_sharing = false;
   for (uint64_t seed = 21; seed <= 23; ++seed) {
@@ -201,59 +189,7 @@ TEST(KvPoolProperty, RandomInterleavingsSharingDisabled) {
   }
 }
 
-TEST(KvPoolProperty, ForkDivergenceIsExact) {
-  // Deterministic CoW scenario: parent writes 6 rows, forks twice, each
-  // branch overwrites a different suffix; all three must read their own
-  // values and the shared prefix must stay intact.
-  const auto config = tiny();
-  KvCachePool pool(config, base_opts());
-  Rng rng(99);
-  const auto prompt = rng.token_ids(6, 50);
-
-  ModelSeq parent;
-  parent.kv = pool.admit(1, prompt, 12);
-  parent.marker = 1;
-  parent.cross_value = 42.0f;
-  init_cross(config, parent, parent.cross_value);
-  for (int t = 0; t < 6; ++t) write_next_row(config, pool, parent);
-
-  ModelSeq a, b;
-  a.kv = pool.fork(*parent.kv, 2);
-  b.kv = pool.fork(*parent.kv, 3);
-  for (ModelSeq* child : {&a, &b}) {
-    child->steps = parent.steps;
-    child->cross_value = parent.cross_value;
-    child->expected = parent.expected;
-  }
-  a.marker = 2;
-  b.marker = 3;
-
-  // Forks share everything: no new unique blocks yet.
-  const size_t shared_blocks = pool.blocks_in_use();
-  pool.check_invariants();
-
-  for (int t = 0; t < 4; ++t) {
-    write_next_row(config, pool, a);
-    write_next_row(config, pool, b);
-    write_next_row(config, pool, parent);
-    pool.check_invariants();
-  }
-  EXPECT_GT(pool.cow_copies(), 0u);
-  EXPECT_GT(pool.blocks_in_use(), shared_blocks);
-
-  verify_seq(config, parent);
-  verify_seq(config, a);
-  verify_seq(config, b);
-
-  a.kv.reset();
-  b.kv.reset();
-  parent.kv.reset();
-  pool.check_invariants();
-  EXPECT_EQ(pool.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.stats().current_device_bytes, 0u);
-}
-
-// Randomized admit / grow / fork / preempt / resume / release
+// Randomized admit / grow / preempt / resume / release
 // interleavings under current-demand admission. The model tracks parked
 // state: a preempted sequence keeps its expected row values (its tokens
 // are parked), must hold no self blocks, and must read back every row
@@ -361,23 +297,6 @@ void run_preemption_interleaving(uint64_t seed, KvPoolOptions opts) {
       s.parked = false;
       ++resumes;
       replay(s);
-    } else if (kind <= 10) {
-      // Fork a non-parked sequence (CoW sharing under preemption churn).
-      std::vector<PSeq*> forkable;
-      for (auto& s : live) {
-        if (!s.parked) forkable.push_back(&s);
-      }
-      if (forkable.empty()) continue;
-      PSeq& parent = *forkable[static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int64_t>(forkable.size()) - 1))];
-      if (!pool.can_fork(*parent.kv)) continue;
-      PSeq child;
-      child.kv = pool.fork(*parent.kv, next_id++);
-      child.steps = parent.steps;
-      child.marker = next_marker++;
-      child.cross_value = parent.cross_value;
-      child.expected = parent.expected;
-      live.push_back(std::move(child));
     } else {
       // Release a random sequence (parked or not), verifying it first.
       const size_t idx = static_cast<size_t>(
@@ -401,7 +320,6 @@ void run_preemption_interleaving(uint64_t seed, KvPoolOptions opts) {
   EXPECT_EQ(pool.active_sequences(), 0);
   EXPECT_EQ(pool.parked_sequences(), 0);
   EXPECT_EQ(pool.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.blocks_reserved(), 0u);
   EXPECT_EQ(pool.num_slabs(), 0);
   EXPECT_EQ(pool.stats().current_device_bytes, 0u);
   EXPECT_EQ(pool.stats().device_malloc_bytes, pool.stats().device_free_bytes);
@@ -438,7 +356,6 @@ TEST(KvPoolProperty, PromptSharingChargesCrossBlocksOnce) {
   const auto prompt = rng.token_ids(8, 50);  // 2 cross blocks x 2 layers
 
   auto a = pool.admit(1, prompt, 4);
-  const size_t reserved_one = pool.blocks_reserved();
   const size_t in_use_one = pool.blocks_in_use();
   EXPECT_TRUE(a->needs_cross_init());
   for (int layer = 0; layer < config.num_layers; ++layer) {
@@ -450,12 +367,11 @@ TEST(KvPoolProperty, PromptSharingChargesCrossBlocksOnce) {
 
   // Same prompt: marginal demand is self-only and cross blocks are mapped,
   // not allocated.
-  EXPECT_LT(pool.blocks_for_prompt(prompt, 4), pool.blocks_for(8, 4));
+  EXPECT_EQ(pool.blocks_for_admit_now(prompt),
+            static_cast<size_t>(config.num_layers));
   auto b = pool.admit(2, prompt, 4);
   EXPECT_FALSE(b->needs_cross_init());
   EXPECT_EQ(pool.prefix_hits(), 1u);
-  EXPECT_EQ(pool.blocks_reserved() - reserved_one,
-            pool.blocks_for_prompt(prompt, 4));
   // Unique blocks grew only by b's first self block per layer.
   EXPECT_EQ(pool.blocks_in_use() - in_use_one,
             static_cast<size_t>(config.num_layers));
@@ -480,11 +396,10 @@ TEST(KvPoolProperty, PromptSharingChargesCrossBlocksOnce) {
 // tokens [0, t] — the model writes fnv1a(fed[0..t]) into row t, so a
 // radix adoption that ever attached a wrong-prefix chain reads back as a
 // value mismatch, not just a refcount error. Random interleavings of
-// admit / grow / preempt / resume / fork / donate-and-release then check
-// refcount conservation, the cache-tier byte accounting
-// (blocks_in_use <= blocks_reserved + radix_cached_blocks), that LRU
-// eviction never drops a node a live sequence still references, and that
-// drop_radix_cache() + release drains the pool to exactly zero bytes.
+// admit / grow / preempt / resume / donate-and-release then check refcount
+// conservation, the capacity cap, that LRU eviction never drops a node a
+// live sequence still references, and that drop_radix_cache() + release
+// drains the pool to exactly zero bytes.
 // ---------------------------------------------------------------------------
 
 float causal_row_value(const std::vector<int>& fed, int t) {
@@ -651,22 +566,6 @@ void run_causal_radix_interleaving(uint64_t seed, KvPoolOptions opts,
       s.steps = s.kv->prefix_rows();
       verify_causal(config, s);
       write_until(s, static_cast<int>(s.fed.size()));
-    } else if (kind <= 10) {
-      // Fork a non-parked sequence: the child re-pins the parent's radix
-      // chain and must diverge CoW-exactly as it grows its own fed tail.
-      std::vector<CSeq*> forkable;
-      for (auto& s : live) {
-        if (!s.parked) forkable.push_back(&s);
-      }
-      if (forkable.empty()) continue;
-      CSeq& parent = *forkable[static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int64_t>(forkable.size()) - 1))];
-      if (!pool.can_fork(*parent.kv)) continue;
-      CSeq child;
-      child.kv = pool.fork(*parent.kv, next_id++);
-      child.fed = parent.fed;
-      child.steps = parent.steps;
-      live.push_back(std::move(child));
     } else {
       // Retire a random sequence: verify, donate its written rows to the
       // cache tier, release the handle.
@@ -683,9 +582,6 @@ void run_causal_radix_interleaving(uint64_t seed, KvPoolOptions opts,
     }
     ASSERT_NO_THROW(pool.check_invariants()) << "seed " << seed
                                              << " after op " << op;
-    ASSERT_LE(pool.blocks_in_use(),
-              pool.blocks_reserved() + pool.radix_cached_blocks())
-        << "seed " << seed << " after op " << op;
     ASSERT_LE(pool.radix_evictable_blocks(), pool.radix_cached_blocks());
     if (pool.max_blocks() != 0) {
       ASSERT_LE(pool.blocks_in_use(), pool.max_blocks())
@@ -709,7 +605,6 @@ void run_causal_radix_interleaving(uint64_t seed, KvPoolOptions opts,
   }
   EXPECT_EQ(pool.active_sequences(), 0);
   EXPECT_EQ(pool.parked_sequences(), 0);
-  EXPECT_EQ(pool.blocks_reserved(), 0u);
   // Only the cache tier is left holding blocks, all of it evictable.
   EXPECT_EQ(pool.blocks_in_use(), pool.radix_cached_blocks());
   EXPECT_EQ(pool.radix_evictable_blocks(), pool.radix_cached_blocks());
@@ -790,7 +685,7 @@ TEST(KvPoolProperty, CausalDonationAdoptionIsExact) {
   a.fed = prompt;
   EXPECT_EQ(a.kv->prefix_rows(), 0);  // cold tree
   for (int t = 0; t < static_cast<int>(prompt.size()); ++t) {
-    pool.ensure_token(*a.kv, t);
+    ASSERT_TRUE(pool.try_ensure_token(*a.kv, t));
     const float v = causal_row_value(a.fed, t);
     for (int layer = 0; layer < config.num_layers; ++layer) {
       std::fill_n(a.kv->self_k(layer, t), config.hidden, v);
@@ -823,10 +718,10 @@ TEST(KvPoolProperty, CausalDonationAdoptionIsExact) {
   EXPECT_EQ(pool.radix_evictable_blocks(), 0u);
   pool.check_invariants();
 
-  // CoW write barrier: extending b past the adopted prefix must not
-  // mutate the cached chunk in place.
+  // Extending b past the adopted prefix writes a block of its own; the
+  // cached chunks stay intact.
   b.fed.push_back(42);
-  pool.ensure_token(*b.kv, b.steps);
+  ASSERT_TRUE(pool.try_ensure_token(*b.kv, b.steps));
   const float v = causal_row_value(b.fed, b.steps);
   for (int layer = 0; layer < config.num_layers; ++layer) {
     std::fill_n(b.kv->self_k(layer, b.steps), config.hidden, v);
@@ -850,8 +745,8 @@ TEST(KvPoolProperty, CausalDonationAdoptionIsExact) {
 // fed-prefix-derived value fnv1a(fed[0..t]) into every scheduled row and
 // sampling a deterministic token at each chunk frontier (so replays after
 // preemption regenerate bit-identical values). Random arrivals, forced
-// sheds (the cross-pool reclaim path), pool-level CoW forks of running
-// sequences and radix donation/adoption at retirement all interleave.
+// sheds (the cross-pool reclaim path) and radix donation/adoption at
+// retirement all interleave.
 // After every step:
 //  * the quantum is conserved — quantum_charged equals the rows the plan
 //    actually carries and never exceeds the budget (causal prompts are
@@ -912,20 +807,6 @@ void run_chunked_prefill_property(uint64_t seed, KvPoolOptions opts,
         ASSERT_EQ(kv.self_v(layer, t)[0], v + 0.5f);
       }
     }
-  };
-
-  // Pool-level CoW forks of running sequences (the pooled-beam id space):
-  // each pins its parent's chain and diverges with its own fed tail.
-  struct Fork {
-    std::unique_ptr<SequenceKv> kv;
-    std::vector<int> fed;
-    int steps = 0;
-  };
-  std::vector<Fork> forks;
-  int64_t next_fork_id = -1;
-  const auto release_fork = [&](size_t idx) {
-    verify_rows(*forks[idx].kv, forks[idx].fed, forks[idx].steps);
-    forks.erase(forks.begin() + static_cast<long>(idx));
   };
 
   int64_t next_id = 1;
@@ -1000,42 +881,6 @@ void run_chunked_prefill_property(uint64_t seed, KvPoolOptions opts,
                                           pool.block_bytes()))) > 0) {
         ++sheds;
       }
-    } else if (kind == 3 && forks.size() < 2) {
-      // Fork a running sequence at its current row; the child shares every
-      // written block CoW and diverges with its own fed tail.
-      std::vector<ActiveSequence*> forkable;
-      for (const auto& seq : scheduler.active_set()) {
-        if (seq->kv && !seq->kv->parked() && seq->step > 0) {
-          forkable.push_back(seq.get());
-        }
-      }
-      if (!forkable.empty()) {
-        ActiveSequence* parent = forkable[static_cast<size_t>(
-            rng.uniform_int(0, static_cast<int64_t>(forkable.size()) - 1))];
-        if (pool.can_fork(*parent->kv)) {
-          Fork f;
-          f.kv = pool.fork(*parent->kv, next_fork_id--);
-          f.fed = fed_of(*parent);
-          f.steps = parent->step;
-          verify_rows(*f.kv, f.fed, f.steps);  // shares the parent's rows
-          // Diverge: one private row past the shared history.
-          f.fed.resize(static_cast<size_t>(f.steps));
-          f.fed.push_back(static_cast<int>(rng.uniform_int(0, 49)));
-          if (pool.try_ensure_token(*f.kv, f.steps)) {
-            const float v = causal_row_value(f.fed, f.steps);
-            for (int layer = 0; layer < config.num_layers; ++layer) {
-              std::fill_n(f.kv->self_k(layer, f.steps), config.hidden, v);
-              std::fill_n(f.kv->self_v(layer, f.steps), config.hidden,
-                          v + 0.5f);
-            }
-            ++f.steps;
-          }
-          forks.push_back(std::move(f));
-        }
-      }
-    } else if (kind == 4 && !forks.empty()) {
-      release_fork(static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int64_t>(forks.size()) - 1)));
     } else {
       drive_one_step(op);
     }
@@ -1044,10 +889,7 @@ void run_chunked_prefill_property(uint64_t seed, KvPoolOptions opts,
     ASSERT_LE(pool.blocks_in_use(), pool.max_blocks());
   }
 
-  // Drain: release the fork pins first (they are invisible to the
-  // scheduler and could otherwise starve its progress guarantee), then
-  // step the scheduler dry.
-  while (!forks.empty()) release_fork(forks.size() - 1);
+  // Drain: step the scheduler dry.
   for (int op = kOps; !scheduler.idle(); ++op) {
     ASSERT_LT(op, kOps + 500) << "scheduler failed to drain";
     drive_one_step(op);
@@ -1057,7 +899,6 @@ void run_chunked_prefill_property(uint64_t seed, KvPoolOptions opts,
   EXPECT_GT(adoptions_checked, 0u) << "seed " << seed << " never adopted";
   EXPECT_EQ(pool.active_sequences(), 0);
   EXPECT_EQ(pool.parked_sequences(), 0);
-  EXPECT_EQ(pool.blocks_reserved(), 0u);
   EXPECT_EQ(pool.blocks_in_use(), pool.radix_cached_blocks());
   pool.drop_radix_cache();
   pool.check_invariants();
@@ -1076,8 +917,8 @@ TEST(KvPoolProperty, ChunkedPrefillRandomQuantumInterleavings) {
 }
 
 TEST(KvPoolProperty, ChunkedPrefillBoundedPoolChurn) {
-  // Tight capacity: chunked prefill, shed-forced preemption, CoW fork
-  // pins and radix eviction all fight over 24 blocks.
+  // Tight capacity: chunked prefill, shed-forced preemption and radix
+  // eviction all fight over 24 blocks.
   auto opts = base_opts();
   const size_t slab_bytes = static_cast<size_t>(opts.blocks_per_slab) *
                             KvCachePool(tiny(), opts).block_bytes();

@@ -19,6 +19,7 @@
 #include "genserve/model_bundle.h"
 #include "genserve/multi_model_server.h"
 #include "memory/slab_budget.h"
+#include "obs/passes.h"
 
 namespace turbo::genserve {
 namespace {
@@ -348,6 +349,75 @@ TEST(MultiModelServer, IdleHeadroomIsBorrowedAndReclaimedByItsOwner) {
   for (const auto& [id, toks] : ref_a) EXPECT_EQ(tokens.at(id), toks);
   for (const auto& [id, toks] : ref_b) EXPECT_EQ(tokens.at(id), toks);
   EXPECT_EQ(server.budget().used_bytes(), 0u);
+}
+
+TEST(MultiModelServer, StarvedModelPublishesEveryCallAndKeysItsSpans) {
+  // As in IdleHeadroomIsBorrowedAndReclaimedByItsOwner: model a borrows b's
+  // headroom, then b's requests wait on the budget, so b's engine runs
+  // step() calls that step no rows while reclaims shed a's sequences
+  // between calls. Every admission, preemption and resume of those calls
+  // and sheds must still reach the engines' counters, and each engine
+  // call must be a step of its own in the phase attribution (an idle call
+  // folded into the next one would read as one step spanning both).
+  auto bundle_a = make_bundle("a", 1, tiny(), /*seed=*/81);
+  auto bundle_b = make_bundle("b", 1, tiny(), /*seed=*/82);
+
+  MultiModelOptions options;
+  options.engine = small_engine();
+  options.engine.scheduler.max_active = 6;
+  options.engine.trace.enabled = true;
+  const size_t slab = 4ull * 2 * 4 * 32 * sizeof(float);
+  options.total_kv_bytes = 8 * slab;
+  MultiModelGenerationServer server(options);
+  server.register_bundle(bundle_a, 4 * slab);
+  server.register_bundle(bundle_b, 4 * slab);
+
+  Rng rng(0xB0B);
+  for (int i = 0; i < 10; ++i) {
+    server.submit(make_request(rng, i, 8 + (i % 4), 16, "a"));
+  }
+  int64_t calls = 0;
+  while (server.budget().available_bytes() >= slab && !server.idle()) {
+    server.step();
+    ++calls;
+  }
+  for (int i = 0; i < 4; ++i) {
+    server.submit(make_request(rng, 100 + i, 6 + i, 12, "b"));
+  }
+  while (!server.idle()) {
+    server.step();
+    ++calls;
+  }
+  ASSERT_EQ(server.take_completed().size(), 14u);
+  EXPECT_GT(server.total_reclaims(), 0u) << "b was never starved";
+
+  const auto& reg = *server.metrics();
+  for (const char* name : {"a", "b"}) {
+    const GenerationServer& engine = server.replica_set(name, 1)->replica(0);
+    const std::string p = engine.metric_prefix();
+    const GenerationScheduler& sched = engine.scheduler();
+    EXPECT_EQ(reg.counter_value(p + "admitted"), sched.total_admitted())
+        << name;
+    EXPECT_EQ(reg.counter_value(p + "preemptions"), sched.total_preempted())
+        << name;
+    EXPECT_EQ(reg.counter_value(p + "resumes"), sched.total_resumed())
+        << name;
+    EXPECT_EQ(reg.counter_value(p + "steps"),
+              static_cast<uint64_t>(engine.iterations()))
+        << name;
+  }
+  EXPECT_GT(
+      server.replica_set("a", 1)->replica(0).scheduler().total_preempted(),
+      0u);
+  // Steps count only calls that ran rows; b had calls that ran none.
+  EXPECT_LT(server.replica_set("b", 1)->replica(0).iterations(), calls);
+
+  // Every server step calls both engines once, and each engine call is
+  // one attributed step: no attributed step spans two calls.
+  ASSERT_EQ(server.trace_ring()->dropped(), 0u);
+  const obs::PhaseAttribution attr =
+      obs::attribute_phases(server.trace_spans());
+  EXPECT_EQ(attr.iterations, static_cast<size_t>(2 * calls));
 }
 
 TEST(MultiModelServer, ReclaimShedsPendingEncodeJobsInsteadOfLivelocking) {
