@@ -271,41 +271,22 @@ bool GenerationScheduler::outranks(const ActiveSequence& a,
   return a.admit_order < b.admit_order;
 }
 
-double GenerationScheduler::replay_cost_ms(const ActiveSequence& s) const {
-  // Re-deriving a preempted sequence replays its parked tokens one fused
-  // step at a time. The cost table supplies the per-step latency at the
-  // victim's context — measured values once the server has fed observe().
-  const int ctx =
-      static_cast<int>(s.request.src_tokens.size()) + std::max(s.step, 1);
-  return static_cast<double>(s.tokens.size()) * predicted_step_cost_ms(ctx, 1);
-}
-
 ActiveSequence* GenerationScheduler::pick_victim(
     const ActiveSequence& requester) {
-  std::vector<ActiveSequence*> eligible;
+  // The lowest-ranked eligible sequence loses (for kMostRecentlyAdmitted
+  // that is the newest admission; for kLowestPriority the weakest
+  // priority).
+  ActiveSequence* victim = nullptr;
   for (const auto& seq : active_) {
     if (seq.get() == &requester) continue;
     // A sequence whose deferred encode has not run yet cannot park: the
     // pool's preempt() would wedge its cross share (no one left to
     // encode). It becomes eligible once the encode job completes.
     if (seq->kv && seq->kv->needs_cross_init()) continue;
-    if (outranks(requester, *seq)) eligible.push_back(seq.get());
+    if (!outranks(requester, *seq)) continue;
+    if (victim == nullptr || outranks(*victim, *seq)) victim = seq.get();
   }
-  if (eligible.empty()) return nullptr;
-  ActiveSequence* best = eligible.front();
-  for (ActiveSequence* cand : eligible) {
-    if (options_.victim_policy ==
-        GenSchedulerOptions::VictimPolicy::kCheapestRecompute) {
-      const double c = replay_cost_ms(*cand);
-      const double b = replay_cost_ms(*best);
-      if (c < b || (c == b && outranks(*best, *cand))) best = cand;
-    } else {
-      // Lowest-ranked candidate loses (for kMostRecentlyAdmitted that is
-      // the newest admission; for kLowestPriority the weakest priority).
-      if (outranks(*best, *cand)) best = cand;
-    }
-  }
-  return best;
+  return victim;
 }
 
 void GenerationScheduler::park(ActiveSequence* seq, StepPlan* plan) {

@@ -14,7 +14,7 @@
 //    prompt is already resident shares those cross blocks, charged once for
 //    the whole group). Worst cases may oversubscribe the pool: when a
 //    running sequence's growth finds the pool exhausted the scheduler
-//    preempts a victim (pluggable policy): the victim's unshared blocks
+//    preempts a victim (VictimPolicy): the victim's unshared blocks
 //    return to the pool, its generated tokens are parked, and it is
 //    requeued to resume by replaying those tokens from its still-resident
 //    cross blocks (no re-encode). Preemption only ever flows down the
@@ -24,8 +24,8 @@
 //    size must stay under `max_step_cost_ms` (the same cached_cost
 //    dictionary the §5 DP consults, applied per iteration instead of per
 //    queue snapshot; the server feeds measured fused-step latencies back
-//    through CostTable::observe, so the gate and the victim policy's
-//    recompute estimates track real costs instead of the analytic warm-up).
+//    through CostTable::observe, so the gate tracks real costs instead of
+//    the analytic warm-up).
 //
 // Each step is one token quantum: decode rows, prefill/replay chunk rows
 // and deferred whole-prompt encode jobs packed under step_token_quantum.
@@ -78,10 +78,6 @@ struct GenSchedulerOptions {
   enum class VictimPolicy {
     kMostRecentlyAdmitted,  // LIFO: newest admission loses first
     kLowestPriority,        // request.priority, ties by admission order
-    // Cheapest predicted re-derivation: fewest parked tokens weighted by
-    // the cost table's per-step latency at the victim's context — measured
-    // costs once the server has fed observe().
-    kCheapestRecompute,
   };
   int max_active = 8;             // step-batch size cap
   double max_step_cost_ms = 0.0;  // predicted step latency cap; 0 = off
@@ -241,8 +237,6 @@ class GenerationScheduler {
   double predicted_step_cost_ms(int max_ctx, int batch) const;
   // Strict total order for preemption: true when `a` is safer than `b`.
   bool outranks(const ActiveSequence& a, const ActiveSequence& b) const;
-  // Predicted cost of re-deriving `s`'s parked tokens after a preemption.
-  double replay_cost_ms(const ActiveSequence& s) const;
   // Victim among active sequences the requester outranks; null when none.
   // Sequences still owing their share a deferred encoder pass are never
   // eligible (the pool cannot park them without wedging the share).

@@ -191,6 +191,11 @@ size_t GenerationServer::shed_kv(size_t bytes) {
 }
 
 int GenerationServer::step() {
+  // Nothing queued, parked or active: nothing to admit or schedule, and
+  // no counter can have moved since the last call published. An idle
+  // engine reads no clock and records no span, so it does not dilute the
+  // phase attribution of the models that share its step loop.
+  if (scheduler_.idle()) return 0;
   const bool tracing = tracer_.enabled();
   // Spans are keyed by call, not by iteration_: a call that runs no rows
   // (a model starved by the shared budget) still admits, schedules and may
@@ -346,9 +351,9 @@ int GenerationServer::step() {
       tracer_.span(obs::SpanKind::kDecodeStep, to_ticks(step_t0),
                    to_ticks(step_t1), /*seq=*/-1, nb_rows, /*tokens=*/nb_rows);
     }
-    // Lazy-evaluation feedback (§6.3): the admission gate and the
-    // cheapest-recompute victim policy predict from this table, so feed it
-    // what the step actually cost at the batch's real context length. A
+    // Lazy-evaluation feedback (§6.3): the admission gate predicts from
+    // this table, so feed it what the step actually cost at the batch's
+    // real context length. A
     // batch wider than the table's grid is dropped — folding an 8-wide
     // latency into the widest cell would inflate its EMA forever.
     if (observe_costs_ && step_ms > 0.0 && nb_rows <= costs_.max_batch()) {

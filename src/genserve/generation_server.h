@@ -43,8 +43,8 @@ struct GenServerOptions {
   std::optional<serving::CostTable> cost_table;
   // Fold each fused step's measured latency back into the cost table
   // (CostTable::observe, §6.3 lazy evaluation): the analytic warm-up is
-  // only the starting point, admission and victim-choice predictions
-  // converge to real costs as the server runs.
+  // only the starting point, the admission gate's predictions converge
+  // to real costs as the server runs.
   bool observe_step_costs = true;
   double cost_observe_alpha = 0.25;
   // Step-level tracing (obs/trace.h). Off by default: the step loop then
@@ -173,7 +173,8 @@ class GenerationServer {
   // One scheduler iteration + one fused decode step. Returns the number of
   // sequences stepped (0 = nothing ran: idle, or starved of KV capacity).
   // Only calls that run rows count as iterations (iterations(), StepStats,
-  // "steps"), but every call publishes its admissions and preemptions.
+  // "steps"), but every call publishes its admissions and preemptions. An
+  // idle engine returns at once: no clock read, no span.
   int step();
 
   // Step until idle, then hand over everything completed so far.
@@ -251,7 +252,7 @@ class GenerationServer {
   bool observe_costs_ = true;
   double observe_alpha_ = 0.25;
   int64_t iteration_ = 0;  // step() calls that ran rows
-  int64_t calls_ = 0;      // every step() call: the trace span key
+  int64_t calls_ = 0;      // non-idle step() calls: the trace span key
   CounterMarks published_;  // totals the registry counters last caught
   std::chrono::steady_clock::time_point epoch_;
 

@@ -26,13 +26,11 @@ namespace turbo::genserve {
 
 // Ownership: owns its encoder/decoder via shared_ptr (several engines of
 // the same bundle may share them). Thread-safety: immutable after
-// construction by convention. The decoder is safe to share across
-// concurrently stepping engines (step() is const over a caller-owned
-// workspace), but one EncoderModel must only be driven from one worker at
-// a time (forward() replans its allocator and ping-pongs private hidden
-// buffers) — sequential serving guarantees this by stepping every engine
-// from one thread, and router::ReplicaSet's pinned-worker mode gives each
-// concurrent replica its own encoder over the shared weight storage.
+// construction by convention. The decoder's step() is const over a
+// caller-owned workspace, but one EncoderModel must only be driven from
+// one thread at a time (forward() replans its allocator and ping-pongs
+// private hidden buffers) — the serving layer guarantees this by stepping
+// every engine, replicas included, from one thread.
 struct ModelBundle {
   std::string name;
   int version = 1;

@@ -73,16 +73,11 @@ void MultiModelGenerationServer::register_bundle(
     eopts.trace.enabled = true;
   }
 
-  turbo::router::ReplicaSetOptions sopts;
-  sopts.replicas =
-      replicas > 0 ? replicas : std::max(1, options_.replicas_per_model);
-  sopts.pinned_workers = options_.pinned_replica_workers;
-
   auto engine = std::make_unique<Engine>();
   engine->bundle = bundle;
   engine->guarantee_bytes = guarantee_bytes;
   engine->set = std::make_unique<turbo::router::ReplicaSet>(
-      bundle, std::move(eopts), guarantee_bytes, sopts);
+      bundle, std::move(eopts), guarantee_bytes, replicas);
   engine->router = std::make_unique<turbo::router::Router>(*engine->set,
                                                            options_.router);
   engine->set->set_step_observer(
@@ -170,36 +165,14 @@ void MultiModelGenerationServer::submit(serving::GenerationRequest request,
 }
 
 std::vector<size_t> MultiModelGenerationServer::step_order() const {
-  std::vector<size_t> order(engines_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (engines_.empty()) return order;
-  if (options_.policy == MultiModelOptions::Policy::kWeightedQueueDepth) {
-    // Deepest backlog first: a congested model admits into free budget
-    // before light ones nibble it. Stable tie-break on registration order.
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return engines_[a]->set->pending_total() >
-             engines_[b]->set->pending_total();
-    });
-  } else {
-    std::rotate(order.begin(),
-                order.begin() +
-                    static_cast<long>(rr_cursor_ % engines_.size()),
-                order.end());
-  }
-  // Admission-blocked models step first regardless of policy: slabs that
-  // last iteration's reclaim freed for them must not be re-borrowed by a
-  // sibling that happens to come earlier in the rotation — that ordering
-  // race starves the owner forever. Among the blocked, under-guarantee
-  // ones lead: a reclaim was performed on their behalf, and a blocked
-  // at-floor borrower stepping first would take the freed bytes right
-  // back (the same starvation with one extra hop).
-  std::stable_partition(order.begin(), order.end(), [&](size_t i) {
-    return engines_[i]->set->any_admission_blocked();
-  });
-  std::stable_partition(order.begin(), order.end(), [&](size_t i) {
-    return engines_[i]->set->any_starved_under_guarantee();
-  });
-  return order;
+  // The replica sets' order, one level up: a model is blocked (starved)
+  // when any of its replicas is.
+  return turbo::router::starved_first_order(
+      engines_.size(), rr_cursor_,
+      [this](size_t i) { return engines_[i]->set->any_admission_blocked(); },
+      [this](size_t i) {
+        return engines_[i]->set->any_starved_under_guarantee();
+      });
 }
 
 void MultiModelGenerationServer::collect_completed(Engine& engine) {

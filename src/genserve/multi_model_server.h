@@ -11,8 +11,8 @@
 //    the bundle's encoder/decoder each) per registered ModelBundle, with
 //    a router::Router placing requests within each set on live signals
 //    (KV pressure, queue depth, observed step cost; SLO classes from
-//    GenerationRequest::priority). replicas_per_model = 1 (the default)
-//    degenerates to exactly the old one-engine-per-bundle server.
+//    GenerationRequest::priority). One replica (register_bundle's
+//    default) degenerates to exactly the old one-engine-per-bundle server.
 //    Requests route by (GenerationRequest::model, model_version): empty
 //    model = the default route, version <= 0 = the latest live version,
 //    positive = pinned; the replica within the set is the Router's call.
@@ -23,9 +23,9 @@
 //    under its guarantee cannot admit, the server sheds slabs from
 //    over-guarantee borrowers (their victims park, resume, and replay
 //    bit-identically later).
-//  * step() interleaves one fused decode step per model per iteration; the
-//    cross-model order is pluggable (round-robin rotation by default,
-//    deepest-queue-first under kWeightedQueueDepth) — iteration-level
+//  * step() interleaves one fused decode step per model per iteration on
+//    the calling thread, in round-robin rotation with admission-blocked
+//    models first (router::starved_first_order) — iteration-level
 //    batching across models, not just within one.
 //  * Registration is hot: bundles can be added or removed while serving.
 //    Removal takes the route out immediately; the engine keeps the bundle
@@ -76,24 +76,8 @@ struct MultiModelOptions {
   // and engine.trace.enabled stands up ONE shared ring all engines record
   // into (a global timeline; cross-model reclaims land on it too).
   GenServerOptions engine;
-  // Cross-model step order within one iteration. Order matters under
-  // contention: earlier models admit into free budget first.
-  enum class Policy {
-    kRoundRobin,          // rotate the starting model every iteration
-    kWeightedQueueDepth,  // deepest backlog (queued + requeued) steps first
-  };
-  Policy policy = Policy::kRoundRobin;
-  // Live engine replicas per registered bundle (register_bundle may
-  // override per model). 1 = the classic one-engine-per-bundle server,
-  // preserved bit-identically; > 1 shards each model across a
-  // router::ReplicaSet with `router` deciding per-request placement.
-  int replicas_per_model = 1;
   // Placement policy within each replica set (SLO-aware by default).
   turbo::router::RouterOptions router;
-  // One pinned worker thread per replica (ReplicaSetOptions). Only legal
-  // with an unbounded budget (total_kv_bytes == 0): bounded shared
-  // budgets must be stepped from one thread (see router/replica_set.h).
-  bool pinned_replica_workers = false;
 };
 
 // Per-replica serving breakdown, assembled by stats(): one entry per
@@ -147,13 +131,14 @@ class MultiModelGenerationServer {
   // reclaim floor split across replicas; pass the model's worst-case
   // single request at minimum if it must never starve). The first
   // registered name becomes the default route. `overrides` replaces the
-  // per-engine defaults for this model only; `replicas` overrides
-  // options.replicas_per_model for this model (0 = use the default).
-  // Throws on duplicate (name, version) — including one still draining.
+  // per-engine defaults for this model only; `replicas` (>= 1) is the
+  // number of live engines sharding the model, with `router` deciding
+  // per-request placement. Throws on duplicate (name, version) —
+  // including one still draining.
   void register_bundle(std::shared_ptr<ModelBundle> bundle,
                        size_t guarantee_bytes = 0,
                        std::optional<GenServerOptions> overrides = {},
-                       int replicas = 0);
+                       int replicas = 1);
   // Hot removal: the route disappears immediately (new submits cannot
   // resolve to it); in-flight sequences keep the engine + bundle alive
   // until they retire. Returns false if (name, version) is not registered.
@@ -177,7 +162,7 @@ class MultiModelGenerationServer {
               serving::TokenCallback on_token = nullptr);
 
   // One interleaved iteration: each live engine takes one scheduler
-  // iteration + fused decode step (policy order), then cross-model budget
+  // iteration + fused decode step (step_order()), then cross-model budget
   // reclaim runs for admission-blocked under-guarantee models, then idle
   // draining engines are torn down. Returns sequences stepped across all
   // models (0 = server idle).
@@ -241,7 +226,8 @@ class MultiModelGenerationServer {
   // route cannot be resolved.
   const Engine* route(const serving::GenerationRequest& request) const;
   Engine* route(const serving::GenerationRequest& request);
-  // Iteration order of engine indices under the configured policy.
+  // Iteration order of engine indices: router::starved_first_order over
+  // the models, rotated by rr_cursor_.
   std::vector<size_t> step_order() const;
   // Cross-model budget reclaim, now per (model, replica) unit (see class
   // comment). Returns bytes freed.
@@ -303,7 +289,7 @@ class AsyncMultiModelGenerationServer {
   // faulted trying — duplicate version, oversubscribed guarantee).
   std::future<void> register_bundle(
       std::shared_ptr<ModelBundle> bundle, size_t guarantee_bytes = 0,
-      std::optional<GenServerOptions> overrides = {}, int replicas = 0);
+      std::optional<GenServerOptions> overrides = {}, int replicas = 1);
   // Resolves to unregister_bundle()'s result once applied.
   std::future<bool> unregister_bundle(std::string name, int version);
 

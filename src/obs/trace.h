@@ -178,7 +178,8 @@ class Tracer {
   explicit operator bool() const { return enabled(); }
 
   // The iteration stamped on subsequent spans (the server sets it once per
-  // step() call, idle calls included; scheduler-side events inherit it).
+  // step() call that has work, starved calls included; scheduler-side
+  // events inherit it).
   void set_iteration(int64_t iteration) { iteration_ = iteration; }
   int64_t iteration() const { return iteration_; }
 

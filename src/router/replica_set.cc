@@ -5,14 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/check.h"
-#include "memory/slab_budget.h"
-#include "model/encoder.h"
 
 namespace turbo::router {
 
@@ -25,43 +18,32 @@ size_t free_blocks_of(const genserve::KvCachePool& pool) {
   return cap > charged ? cap - charged : 0;
 }
 
-// Best-effort: pin the calling thread to one CPU so a replica's fused
-// steps stop migrating (cache residency for its slice of the weights'
-// activations). Failure is fine — pinning is a performance hint.
-void pin_to_cpu(size_t index) {
-#ifdef __linux__
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % hw), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
-
 }  // namespace
+
+std::vector<size_t> starved_first_order(
+    size_t units, size_t cursor, const std::function<bool(size_t)>& blocked,
+    const std::function<bool(size_t)>& starved) {
+  std::vector<size_t> order(units);
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (units < 2) return order;
+  std::rotate(order.begin(), order.begin() + (cursor % units), order.end());
+  // Blocked units step first so budget freed this iteration is not
+  // re-borrowed before they admit — that ordering race starves the owner
+  // forever. Among them the under-guarantee ones lead: a reclaim ran on
+  // their behalf, and a blocked at-floor borrower stepping first would
+  // take the freed bytes right back (the same starvation, one hop later).
+  std::stable_partition(order.begin(), order.end(), blocked);
+  std::stable_partition(order.begin(), order.end(), starved);
+  return order;
+}
 
 ReplicaSet::ReplicaSet(std::shared_ptr<genserve::ModelBundle> bundle,
                        genserve::GenServerOptions engine_options,
-                       size_t guarantee_bytes, ReplicaSetOptions options)
+                       size_t guarantee_bytes, int replicas)
     : bundle_(std::move(bundle)) {
   TT_CHECK(bundle_ != nullptr);
-  TT_CHECK_GE(options.replicas, 1);
-  const size_t n = static_cast<size_t>(options.replicas);
-
-  if (options.pinned_workers && n > 0) {
-    // Concurrent stepping is only legal when the replicas' pools do not
-    // contend on a bounded shared budget: each pool's capacity gate and
-    // charge are two separate budget calls, so two pools admitting into
-    // the same bounded budget concurrently can both pass the gate for the
-    // last bytes (see memory/slab_budget.h). An unbounded budget (or none)
-    // only tracks attribution and is internally locked.
-    const memory::SlabBudget* budget = engine_options.pool.slab_budget;
-    // Bounded budgets must be stepped from one thread; see the file
-    // comment in replica_set.h.
-    TT_CHECK(budget == nullptr || budget->total_bytes() == 0);
-  }
+  TT_CHECK_GE(replicas, 1);
+  const size_t n = static_cast<size_t>(replicas);
 
   // One registry and (when tracing) one ring across the whole set: the
   // replicas are one serving identity, and the Router reads replica 0's
@@ -92,23 +74,7 @@ ReplicaSet::ReplicaSet(std::shared_ptr<genserve::ModelBundle> bundle,
       opts.pool.budget_client_name = r.label;
       opts.pool.budget_guarantee_bytes = r.guarantee_bytes;
     }
-    // EncoderModel::forward replans its allocator and ping-pongs private
-    // hidden buffers, so one encoder instance must not be driven from two
-    // workers at once (the bundle contract). Concurrent replicas therefore
-    // get their own encoder over the SAME weight storage — EncoderWeights
-    // copies share tensors — while the decoder stays shared: step() is
-    // const over a caller-owned workspace. Replica 0 keeps the original
-    // bundle, so single-worker identity (and hot-unregister pinning
-    // through it) is untouched.
-    std::shared_ptr<genserve::ModelBundle> replica_bundle = bundle_;
-    if (options.pinned_workers && i > 0 && bundle_->encoder != nullptr) {
-      auto shadow = std::make_shared<genserve::ModelBundle>(*bundle_);
-      shadow->encoder = std::make_shared<model::EncoderModel>(
-          bundle_->config, bundle_->encoder->weights());
-      replica_bundle = std::move(shadow);
-    }
-    r.server =
-        std::make_unique<genserve::GenerationServer>(replica_bundle, opts);
+    r.server = std::make_unique<genserve::GenerationServer>(bundle_, opts);
 
     // Create-or-get the engine's own latency/batch histograms: the
     // router's observed-cost signal reads the same series the engine
@@ -124,24 +90,6 @@ ReplicaSet::ReplicaSet(std::shared_ptr<genserve::ModelBundle> bundle,
           replicas_[i].last_step = stats;
           if (observer_) observer_(i, stats);
         });
-  }
-
-  if (options.pinned_workers) {
-    workers_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-}
-
-ReplicaSet::~ReplicaSet() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& w : workers_) w.join();
   }
 }
 
@@ -165,77 +113,20 @@ size_t ReplicaSet::replica_guarantee_bytes(size_t i) const {
   return replicas_[i].guarantee_bytes;
 }
 
-std::vector<size_t> ReplicaSet::step_order() const {
-  std::vector<size_t> order(replicas_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  if (order.size() > 1) {
-    std::rotate(order.begin(), order.begin() + (rr_cursor_ % order.size()),
-                order.end());
-    // Starved replicas step first so budget freed by a sibling's retires
-    // this iteration is not re-borrowed before they admit, and among them
-    // the under-guarantee ones lead — reclaimed bytes belong to the owner
-    // (mirrors the cross-model step-order policy).
-    std::stable_partition(order.begin(), order.end(), [this](size_t i) {
-      return replicas_[i].server->scheduler().admission_blocked();
-    });
-    std::stable_partition(order.begin(), order.end(), [this](size_t i) {
-      const Replica& r = replicas_[i];
-      return r.server->scheduler().admission_blocked() &&
-             r.server->pool().stats().current_device_bytes < r.guarantee_bytes;
-    });
-  }
-  return order;
-}
-
 int ReplicaSet::step() {
-  if (workers_.empty()) {
-    // Single replica: no ordering to compute — keep the legacy server's
-    // per-step cost (this path sits inside the multi-model hot loop).
-    if (replicas_.size() == 1) {
-      replicas_[0].stepped = replicas_[0].server->step();
-      return replicas_[0].stepped;
-    }
-    const std::vector<size_t> order = step_order();
-    ++rr_cursor_;
-    int total = 0;
-    for (size_t i : order) {
-      replicas_[i].stepped = replicas_[i].server->step();
-      total += replicas_[i].stepped;
-    }
-    return total;
-  }
-
-  // Barrier round: release every worker for one fused step, wait for all.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++epoch_;
-    done_ = 0;
-  }
-  cv_work_.notify_all();
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [this] { return done_ == workers_.size(); });
+  // Single replica: no ordering to compute — keep the legacy server's
+  // per-step cost (this path sits inside the multi-model hot loop).
+  if (replicas_.size() == 1) return replicas_[0].server->step();
+  const std::vector<size_t> order = starved_first_order(
+      replicas_.size(), rr_cursor_,
+      [this](size_t i) {
+        return replicas_[i].server->scheduler().admission_blocked();
+      },
+      [this](size_t i) { return starved_under_guarantee(replicas_[i]); });
+  ++rr_cursor_;
   int total = 0;
-  for (const Replica& r : replicas_) total += r.stepped;
+  for (size_t i : order) total += replicas_[i].server->step();
   return total;
-}
-
-void ReplicaSet::worker_loop(size_t i) {
-  pin_to_cpu(i);
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-    }
-    const int stepped = replicas_[i].server->step();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      replicas_[i].stepped = stepped;
-      if (++done_ == workers_.size()) cv_done_.notify_one();
-    }
-  }
 }
 
 bool ReplicaSet::idle() const {
@@ -245,15 +136,6 @@ bool ReplicaSet::idle() const {
   return true;
 }
 
-size_t ReplicaSet::pending_total() const {
-  size_t total = 0;
-  for (const Replica& r : replicas_) {
-    const auto& sched = r.server->scheduler();
-    total += sched.pending() + sched.requeued();
-  }
-  return total;
-}
-
 bool ReplicaSet::any_admission_blocked() const {
   for (const Replica& r : replicas_) {
     if (r.server->scheduler().admission_blocked()) return true;
@@ -261,12 +143,14 @@ bool ReplicaSet::any_admission_blocked() const {
   return false;
 }
 
+bool ReplicaSet::starved_under_guarantee(const Replica& r) {
+  return r.server->scheduler().admission_blocked() &&
+         r.server->pool().stats().current_device_bytes < r.guarantee_bytes;
+}
+
 bool ReplicaSet::any_starved_under_guarantee() const {
   for (const Replica& r : replicas_) {
-    if (r.server->scheduler().admission_blocked() &&
-        r.server->pool().stats().current_device_bytes < r.guarantee_bytes) {
-      return true;
-    }
+    if (starved_under_guarantee(r)) return true;
   }
   return false;
 }

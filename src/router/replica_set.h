@@ -18,41 +18,24 @@
 // signals the decision needs (queue depth, KV pressure, observed per-step
 // cost) and steps every replica each iteration.
 //
-// Stepping modes:
-//  * Sequential (default): step() runs one fused step per replica on the
-//    calling thread — admission-blocked replicas first (freshly reclaimed
-//    budget must not be re-borrowed by a sibling earlier in the rotation),
-//    then rotation order. Replica count 1 reduces to exactly one
-//    GenerationServer::step() call: bit-identical to the pre-replica
-//    server.
-//  * Pinned workers (options.pinned_workers): one persistent worker thread
-//    per replica, best-effort pinned to a distinct CPU; step() releases
-//    all workers for one fused step each and waits on the barrier.
-//    Requires the pools to share no *bounded* SlabBudget (the pools'
-//    capacity-gate-then-charge sequence is not atomic across pools — see
-//    slab_budget.h; per-replica pool.max_bytes caps are fine, and an
-//    unbounded budget only tracks attribution under its own mutex).
+// Stepping: step() runs one fused step per replica on the calling thread
+// in starved_first_order — admission-blocked replicas first (freshly
+// reclaimed budget must not be re-borrowed by a sibling earlier in the
+// rotation), then rotation order. Replica count 1 reduces to exactly one GenerationServer::step()
+// call: bit-identical to the pre-replica server.
 //
 // Ownership: owns every replica engine and pins the bundle. Thread-safety:
-// like GenerationServer, all mutating calls from one thread; under pinned
-// workers the engines themselves are only ever touched by their own worker
-// during step(), and every accessor is safe between step() calls (the
-// barrier orders worker writes before the caller's reads). Step observers
-// fire on the stepping thread — the replica's worker in pinned mode.
-// Invariants: a submitted request is served entirely by the replica it was
-// placed on (sequences never migrate replicas); every replica steps at
-// most once per step() call; signals(i) reflects the state after the last
-// completed step().
+// like GenerationServer, all calls from one thread; step observers fire
+// on it. Invariants: a submitted request is served entirely by the
+// replica it was placed on (sequences never migrate replicas); every
+// replica steps at most once per step() call; signals(i) reflects the
+// state after the last completed step().
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "genserve/generation_server.h"
@@ -60,6 +43,17 @@
 #include "serving/request.h"
 
 namespace turbo::router {
+
+// The order in which `units` serving units (replicas of one set, or the
+// models of a multi-model server) step in one iteration: rotated by
+// `cursor`, then the `blocked` ones (admission-starved) first, and among
+// those the `starved` ones (blocked while under their guarantee) leading.
+// Budget that a sibling's retires or a reclaim freed this iteration must
+// reach its owner before an earlier unit in the rotation re-borrows it.
+// `starved` must imply `blocked`. Both partitions are stable.
+std::vector<size_t> starved_first_order(
+    size_t units, size_t cursor, const std::function<bool(size_t)>& blocked,
+    const std::function<bool(size_t)>& starved);
 
 // Live placement signals for one replica, assembled by ReplicaSet::signals.
 struct ReplicaSignals {
@@ -73,13 +67,6 @@ struct ReplicaSignals {
   double row_cost_ms = 0.0;    // step_cost_ms per observed batch row
 };
 
-struct ReplicaSetOptions {
-  int replicas = 1;
-  // One persistent, CPU-pinned step worker per replica (see file comment
-  // for the budget restriction this implies).
-  bool pinned_workers = false;
-};
-
 class ReplicaSet {
  public:
   // `replica`: which replica produced the stats.
@@ -90,11 +77,10 @@ class ReplicaSet {
   // wired budget/metrics/trace attachments into it (as
   // MultiModelGenerationServer::register_bundle does); the set overrides
   // per-replica identity (instance_label, budget_client_name) and splits
-  // `guarantee_bytes` evenly (remainder to replica 0).
+  // `guarantee_bytes` evenly (remainder to replica 0). `replicas` >= 1.
   ReplicaSet(std::shared_ptr<genserve::ModelBundle> bundle,
              genserve::GenServerOptions engine_options,
-             size_t guarantee_bytes, ReplicaSetOptions options = {});
-  ~ReplicaSet();
+             size_t guarantee_bytes, int replicas = 1);
 
   ReplicaSet(const ReplicaSet&) = delete;
   ReplicaSet& operator=(const ReplicaSet&) = delete;
@@ -110,14 +96,12 @@ class ReplicaSet {
   const std::string& replica_label(size_t i) const;
   size_t replica_guarantee_bytes(size_t i) const;
 
-  // One fused step per replica (see file comment for ordering / threading).
+  // One fused step per replica (see file comment for the order).
   // Returns total sequences stepped across replicas.
   int step();
 
   bool idle() const;
-  // Aggregates over replicas (the cross-model step-order policy consumes
-  // these).
-  size_t pending_total() const;   // queued + requeued, all replicas
+  // Aggregates over replicas (the cross-model step order consumes these).
   bool any_admission_blocked() const;
   // A replica is admission-blocked while holding less than its guarantee:
   // cross-pool reclaim runs on its behalf, and the freed bytes must reach
@@ -147,26 +131,16 @@ class ReplicaSet {
     // signal (created by the engine itself; same defaults).
     obs::Histogram* step_ms = nullptr;
     obs::Histogram* batch_rows = nullptr;
-    int stepped = 0;  // sequences stepped in the last step() round
   };
 
-  // Step order: admission-blocked replicas first, then rotation.
-  std::vector<size_t> step_order() const;
-  void worker_loop(size_t i);
+  // Admission-blocked while holding less than its guarantee.
+  static bool starved_under_guarantee(const Replica& r);
+
 
   std::shared_ptr<genserve::ModelBundle> bundle_;
   std::vector<Replica> replicas_;
   StepObserver observer_;
   size_t rr_cursor_ = 0;
-
-  // Pinned-worker barrier state (empty workers_ = sequential mode).
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  uint64_t epoch_ = 0;
-  size_t done_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace turbo::router

@@ -357,8 +357,9 @@ TEST(MultiModelServer, StarvedModelPublishesEveryCallAndKeysItsSpans) {
   // step() calls that step no rows while reclaims shed a's sequences
   // between calls. Every admission, preemption and resume of those calls
   // and sheds must still reach the engines' counters, and each engine
-  // call must be a step of its own in the phase attribution (an idle call
-  // folded into the next one would read as one step spanning both).
+  // call with work to do must be a step of its own in the phase
+  // attribution (a starved call folded into the next one would read as one
+  // step spanning both); calls to an idle engine record nothing.
   auto bundle_a = make_bundle("a", 1, tiny(), /*seed=*/81);
   auto bundle_b = make_bundle("b", 1, tiny(), /*seed=*/82);
 
@@ -372,22 +373,28 @@ TEST(MultiModelServer, StarvedModelPublishesEveryCallAndKeysItsSpans) {
   server.register_bundle(bundle_a, 4 * slab);
   server.register_bundle(bundle_b, 4 * slab);
 
+  const GenerationServer& engine_a = server.replica_set("a", 1)->replica(0);
+  const GenerationServer& engine_b = server.replica_set("b", 1)->replica(0);
+  // Engine calls made while the engine had work (queued, parked or
+  // active): every server step calls each engine once.
+  int64_t busy_a = 0;
+  int64_t busy_b = 0;
+  const auto step = [&] {
+    busy_a += engine_a.idle() ? 0 : 1;
+    busy_b += engine_b.idle() ? 0 : 1;
+    server.step();
+  };
+
   Rng rng(0xB0B);
   for (int i = 0; i < 10; ++i) {
     server.submit(make_request(rng, i, 8 + (i % 4), 16, "a"));
   }
-  int64_t calls = 0;
-  while (server.budget().available_bytes() >= slab && !server.idle()) {
-    server.step();
-    ++calls;
-  }
+  while (server.budget().available_bytes() >= slab && !server.idle()) step();
+  EXPECT_EQ(busy_b, 0) << "b must have sat idle through a's ramp-up";
   for (int i = 0; i < 4; ++i) {
     server.submit(make_request(rng, 100 + i, 6 + i, 12, "b"));
   }
-  while (!server.idle()) {
-    server.step();
-    ++calls;
-  }
+  while (!server.idle()) step();
   ASSERT_EQ(server.take_completed().size(), 14u);
   EXPECT_GT(server.total_reclaims(), 0u) << "b was never starved";
 
@@ -406,18 +413,49 @@ TEST(MultiModelServer, StarvedModelPublishesEveryCallAndKeysItsSpans) {
               static_cast<uint64_t>(engine.iterations()))
         << name;
   }
-  EXPECT_GT(
-      server.replica_set("a", 1)->replica(0).scheduler().total_preempted(),
-      0u);
-  // Steps count only calls that ran rows; b had calls that ran none.
-  EXPECT_LT(server.replica_set("b", 1)->replica(0).iterations(), calls);
+  EXPECT_GT(engine_a.scheduler().total_preempted(), 0u);
+  // Steps count only calls that ran rows; b had busy calls that ran none.
+  EXPECT_LT(engine_b.iterations(), busy_b);
 
-  // Every server step calls both engines once, and each engine call is
-  // one attributed step: no attributed step spans two calls.
+  // Each busy engine call is one attributed step: no attributed step
+  // spans two calls, and idle calls add none.
   ASSERT_EQ(server.trace_ring()->dropped(), 0u);
   const obs::PhaseAttribution attr =
       obs::attribute_phases(server.trace_spans());
-  EXPECT_EQ(attr.iterations, static_cast<size_t>(2 * calls));
+  EXPECT_EQ(attr.iterations, static_cast<size_t>(busy_a + busy_b));
+}
+
+TEST(MultiModelServer, IdleEngineRecordsNoSpans) {
+  // Model b is registered but never submitted to, so the server's step
+  // loop calls its engine every iteration with nothing to do. Those calls
+  // must return at once: no span on the shared ring, no attributed step.
+  MultiModelOptions options;
+  options.engine = small_engine();
+  options.engine.trace.enabled = true;
+  MultiModelGenerationServer server(options);
+  server.register_bundle(make_bundle("a", 1, tiny(), /*seed=*/91));
+  server.register_bundle(make_bundle("b", 1, tiny(), /*seed=*/92));
+
+  Rng rng(0x1D1E);
+  for (int i = 0; i < 3; ++i) {
+    server.submit(make_request(rng, i, 5 + i, 8, "a"));
+  }
+  int64_t calls = 0;
+  while (!server.idle()) {
+    server.step();
+    ++calls;
+  }
+  ASSERT_EQ(server.take_completed().size(), 3u);
+  ASSERT_GT(calls, 1);
+
+  const auto* idle_set = server.replica_set("b", 1);
+  EXPECT_EQ(idle_set->replica(0).iterations(), 0);
+  size_t b_spans = 0;
+  for (const auto& span : server.trace_spans()) {
+    if (std::string(span.model) == idle_set->replica_label(0)) ++b_spans;
+  }
+  EXPECT_EQ(b_spans, 0u) << "idle engine recorded spans over " << calls
+                         << " calls";
 }
 
 TEST(MultiModelServer, ReclaimShedsPendingEncodeJobsInsteadOfLivelocking) {

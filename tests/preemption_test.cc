@@ -608,5 +608,13 @@ TEST_F(VictimPolicyTest, LowestPriorityLosesFirst) {
   run(opts, {5, 1, 3}, /*expected_victim=*/1);
 }
 
+TEST_F(VictimPolicyTest, LowestPriorityOnEqualPrioritiesMatchesDefault) {
+  GenSchedulerOptions opts;
+  opts.victim_policy = GenSchedulerOptions::VictimPolicy::kLowestPriority;
+  // All one class: admission order breaks the tie, so the victim is the
+  // default policy's (newest admission).
+  run(opts, {0, 0, 0}, /*expected_victim=*/2);
+}
+
 }  // namespace
 }  // namespace turbo::genserve

@@ -1,15 +1,17 @@
 // Sharded replica serving: ReplicaSet identity/guarantee wiring, Router
 // placement policies (round-robin, least-loaded, SLO-aware with the
-// routing-denial fallback) and their observability, pinned-worker
-// stepping, and the headline property — routed N-replica serving is
-// bit-identical to an uncontended single-engine reference, preemption,
-// hot registration and all, because placement only decides WHERE a
-// sequence runs, never WHAT it decodes. SLO-aware placement must also
-// beat round-robin on deterministic (virtual-step) goodput.
+// routing-denial fallback) and their observability, and the headline
+// property — routed N-replica serving is bit-identical to an uncontended
+// single-engine reference, preemption, hot registration and all, because
+// placement only decides WHERE a sequence runs, never WHAT it decodes.
+// SLO-aware placement must also beat round-robin on deterministic
+// (virtual-step) goodput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,10 +73,8 @@ TEST(ReplicaSetTest, LabelsGuaranteeSplitAndSharedAttachments) {
   auto opts = small_engine();
   opts.pool.slab_budget = &budget;
   opts.trace.enabled = true;
-  ReplicaSetOptions so;
-  so.replicas = 3;
   ReplicaSet set(genserve::make_bundle("m", 1, tiny(), 5), opts,
-                 /*guarantee_bytes=*/10 * 1024, so);
+                 /*guarantee_bytes=*/10 * 1024, /*replicas=*/3);
 
   ASSERT_EQ(set.size(), 3u);
   // Replica 0 keeps the plain bundle label (single-replica sets are
@@ -97,43 +97,41 @@ TEST(ReplicaSetTest, LabelsGuaranteeSplitAndSharedAttachments) {
   EXPECT_EQ(set.replica(0).trace_ring(), set.replica(2).trace_ring());
 }
 
-TEST(ReplicaSetTest, PinnedWorkersServeBitIdentical) {
-  Rng rng(0xF1A7);
-  std::vector<serving::GenerationRequest> requests;
-  for (int i = 0; i < 12; ++i) {
-    requests.push_back(make_request(rng, i, 4 + i % 5, 6 + i % 7));
-  }
-  auto bundle = genserve::make_bundle("m", 1, tiny(), 5);
-  const auto ref = dedicated_reference(bundle, requests);
+TEST(ReplicaSetTest, StepOrderRotatesThenLeadsWithStarvedUnits) {
+  // Rotation start 7 % 5 = 2; blocked units {0, 3, 4} move ahead of the
+  // rest, and the under-guarantee one among them (4) leads. Both moves
+  // keep the rotation's relative order.
+  const std::vector<size_t> blocked = {0, 3, 4};
+  const auto order = starved_first_order(
+      5, 7,
+      [&](size_t i) {
+        return std::find(blocked.begin(), blocked.end(), i) != blocked.end();
+      },
+      [](size_t i) { return i == 4; });
+  EXPECT_EQ(order, (std::vector<size_t>{4, 3, 0, 2, 1}));
+  EXPECT_EQ(starved_first_order(
+                5, 7, [](size_t) { return false; },
+                [](size_t) { return false; }),
+            (std::vector<size_t>{2, 3, 4, 0, 1}));
+  EXPECT_EQ(starved_first_order(
+                1, 3, [](size_t) { return true; }, [](size_t) { return true; }),
+            (std::vector<size_t>{0}));
+}
 
-  // Unbounded pools: the one configuration pinned workers are legal in
-  // (see replica_set.h) — and the TSan job steps this concurrently.
-  ReplicaSetOptions so;
-  so.replicas = 3;
-  so.pinned_workers = true;
-  ReplicaSet set(bundle, small_engine(), 0, so);
-  RouterOptions ro;
-  ro.policy = serving::DispatchPolicy::kRoundRobin;
-  Router router(set, ro);
-  for (const auto& r : requests) {
-    set.replica(router.place(r, 0.0).replica).submit(r);
-  }
-  while (!set.idle()) set.step();
-
-  const auto responses = set.take_completed();
-  ASSERT_EQ(responses.size(), requests.size());
-  for (const auto& resp : responses) {
-    EXPECT_EQ(resp.tokens, ref.at(resp.request_id));
-  }
+TEST(ReplicaSetTest, RegisterBundleNeedsAtLeastOneReplica) {
+  genserve::MultiModelGenerationServer server;
+  EXPECT_THROW(server.register_bundle(genserve::make_bundle("m", 1, tiny(), 5),
+                                      0, std::nullopt, /*replicas=*/0),
+               CheckError);
+  EXPECT_FALSE(server.serving("m", 1));
+  EXPECT_TRUE(server.registry().versions("m").empty());
 }
 
 // ----------------------------------------------------------------- Router --
 
 TEST(RouterTest, RoundRobinCyclesAndCounts) {
-  ReplicaSetOptions so;
-  so.replicas = 3;
   ReplicaSet set(genserve::make_bundle("m", 1, tiny(), 5), small_engine(), 0,
-                 so);
+                 /*replicas=*/3);
   RouterOptions ro;
   ro.policy = serving::DispatchPolicy::kRoundRobin;
   Router router(set, ro);
@@ -152,10 +150,8 @@ TEST(RouterTest, RoundRobinCyclesAndCounts) {
 }
 
 TEST(RouterTest, LeastLoadedFollowsChargedBacklog) {
-  ReplicaSetOptions so;
-  so.replicas = 3;
   ReplicaSet set(genserve::make_bundle("m", 1, tiny(), 5), small_engine(), 0,
-                 so);
+                 /*replicas=*/3);
   RouterOptions ro;
   ro.policy = serving::DispatchPolicy::kLeastLoaded;
   ro.use_observed_cost = false;  // placement = pure function of the trace
@@ -177,9 +173,8 @@ TEST(RouterTest, LeastLoadedFollowsChargedBacklog) {
 TEST(RouterTest, SloAwarePlacementFallbackAndSpans) {
   auto opts = small_engine();
   opts.trace.enabled = true;
-  ReplicaSetOptions so;
-  so.replicas = 3;
-  ReplicaSet set(genserve::make_bundle("m", 1, tiny(), 5), opts, 0, so);
+  ReplicaSet set(genserve::make_bundle("m", 1, tiny(), 5), opts, 0,
+                 /*replicas=*/3);
   RouterOptions ro;
   ro.use_observed_cost = false;
   Router router(set, ro);
@@ -311,11 +306,10 @@ TEST(RouterTest, SloAwareBeatsRoundRobinOnSloGoodput) {
     options.engine = engine;
     options.engine.trace.enabled = true;
     options.total_kv_bytes = total;
-    options.replicas_per_model = replicas;
     options.router.policy = policy;
     options.router.use_observed_cost = false;
     genserve::MultiModelGenerationServer server(options);
-    server.register_bundle(bundle, total);
+    server.register_bundle(bundle, total, std::nullopt, replicas);
 
     std::map<int64_t, int64_t> finish_step;
     std::map<int64_t, std::vector<int>> tokens;
@@ -400,17 +394,16 @@ TEST(RouterPropertyTest, RoutedServingBitIdenticalUnderChurnAndPreemption) {
     genserve::MultiModelOptions options;
     options.engine = small_engine();
     options.total_kv_bytes = 9 * slab;
-    options.replicas_per_model = 3;
     options.router.use_observed_cost = false;
     genserve::MultiModelGenerationServer server(options);
-    server.register_bundle(v1, 9 * slab);
+    server.register_bundle(v1, 9 * slab, std::nullopt, /*replicas=*/3);
 
     for (int i = 0; i < 12; ++i) server.submit(requests[static_cast<size_t>(i)]);
     for (int i = 0; i < 8; ++i) server.step();
 
     // Hot registration under load: the latest route moves to v2 (its own
     // 3-replica set, guarantee 0 = pure borrower) for the second wave.
-    server.register_bundle(v2);
+    server.register_bundle(v2, 0, std::nullopt, /*replicas=*/3);
     for (int i = 12; i < 24; ++i) {
       server.submit(requests[static_cast<size_t>(i)]);
     }
