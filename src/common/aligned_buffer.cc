@@ -22,6 +22,12 @@ AlignedBuffer::AlignedBuffer(size_t bytes) : size_(bytes) {
   void* p = std::aligned_alloc(kAlignment, round_up(bytes, kAlignment));
   if (p == nullptr) throw std::bad_alloc();
   data_ = static_cast<std::byte*>(p);
+#if defined(__SANITIZE_ADDRESS__)
+  // Sanitizer builds: all-ones bytes read as a quiet NaN in float, double
+  // and fp16, so a read before the first write poisons what it touches
+  // every time instead of whenever a recycled heap block held a NaN.
+  std::memset(data_, 0xff, size_);
+#endif
 }
 
 AlignedBuffer::~AlignedBuffer() { std::free(data_); }

@@ -1,6 +1,8 @@
 // 64-byte-aligned owned byte buffer. Models a raw device allocation: all
 // tensor storage (whether owned directly or placed inside an allocator
-// chunk) ultimately lives in one of these.
+// chunk) ultimately lives in one of these. A new buffer's bytes are
+// unspecified, as cudaMalloc's are; in AddressSanitizer builds they are
+// all 0xff (NaN as a float), so reading one before writing it shows.
 #pragma once
 
 #include <cstddef>

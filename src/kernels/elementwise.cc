@@ -1,7 +1,6 @@
 #include "kernels/elementwise.h"
 
-#include <cmath>
-
+#include "kernels/exp_variants.h"
 #include "kernels/parallel.h"
 
 namespace turbo::kernels {
@@ -14,23 +13,22 @@ void add_bias(float* data, const float* bias, long rows, long cols) {
   }
 }
 
-float gelu_scalar(float x) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  return 0.5f * x *
-         (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
-}
+void gelu(float* data, long n) { detail::best_exp_kernels().gelu(data, n); }
 
-void gelu(float* data, long n) {
-#pragma omp parallel for schedule(static) if (n >= kMinParallelElemsHeavy)
-  for (long i = 0; i < n; ++i) data[i] = gelu_scalar(data[i]);
-}
+void tanh(float* data, long n) { detail::best_exp_kernels().tanh(data, n); }
 
 void add_bias_gelu(float* data, const float* bias, long rows, long cols) {
+  detail::add_bias_gelu(detail::best_exp_kernels(), data, bias, rows, cols);
+}
+
+void detail::add_bias_gelu(const ExpKernels& k, float* data, const float* bias,
+                           long rows, long cols) {
 #pragma omp parallel for schedule(static) \
-    if (rows * cols >= kMinParallelElemsHeavy)
+    if (rows * cols >= kMinParallelElems)
   for (long r = 0; r < rows; ++r) {
     float* row = data + r * cols;
-    for (long c = 0; c < cols; ++c) row[c] = gelu_scalar(row[c] + bias[c]);
+    for (long c = 0; c < cols; ++c) row[c] += bias[c];
+    k.gelu(row, cols);
   }
 }
 

@@ -180,8 +180,10 @@ void gemm_ref(const float* a, const float* b, float* c, int m, int n, int k,
                                  : b[static_cast<long>(kk) * n + j];
         acc += static_cast<double>(a[static_cast<long>(i) * k + kk]) * bv;
       }
+      // C is not read when beta is 0 (gemm.h): it may hold anything.
       float* out = &c[static_cast<long>(i) * n + j];
-      *out = alpha * static_cast<float>(acc) + beta * *out;
+      const float scaled = alpha * static_cast<float>(acc);
+      *out = beta == 0.0f ? scaled : scaled + beta * *out;
     }
   }
 }

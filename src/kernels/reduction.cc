@@ -2,35 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
+#include "kernels/exp_variants.h"
 #include "kernels/parallel.h"
 
 namespace turbo::kernels {
 
 void softmax_row(float* row, long n, float scale) {
-  float max_v = -std::numeric_limits<float>::infinity();
-  for (long c = 0; c < n; ++c) max_v = std::max(max_v, row[c] * scale);
-  float sum = 0.0f;
-  for (long c = 0; c < n; ++c) {
-    row[c] = std::exp(row[c] * scale - max_v);
-    sum += row[c];
-  }
-  const float inv = 1.0f / sum;
-  for (long c = 0; c < n; ++c) row[c] *= inv;
+  detail::best_exp_kernels().softmax_row(row, n, scale);
 }
 
 void softmax_rows(float* data, long rows, long cols, float scale) {
+  const detail::ExpKernels& k = detail::best_exp_kernels();
 #pragma omp parallel for schedule(static) \
-    if (rows * cols >= kMinParallelElemsHeavy)
+    if (rows * cols >= kMinParallelElems)
   for (long r = 0; r < rows; ++r) {
-    softmax_row(data + r * cols, cols, scale);
+    k.softmax_row(data + r * cols, cols, scale);
   }
 }
 
 void attention_softmax(float* scores, int batch, int heads, long s_q,
                        long s_k, float scale, const int* valid_len) {
+  detail::attention_softmax(detail::best_exp_kernels(), scores, batch, heads,
+                            s_q, s_k, scale, valid_len);
+}
+
+void detail::attention_softmax(const ExpKernels& k, float* scores, int batch,
+                               int heads, long s_q, long s_k, float scale,
+                               const int* valid_len) {
   const long rows_per_batch = static_cast<long>(heads) * s_q;
   // Validate masks up front: exceptions cannot propagate out of the
   // parallel region below.
@@ -38,20 +38,12 @@ void attention_softmax(float* scores, int batch, int heads, long s_q,
     for (int b = 0; b < batch; ++b) TT_CHECK_GT(valid_len[b], 0);
   }
 #pragma omp parallel for collapse(2) schedule(static) \
-    if (batch * rows_per_batch * s_k >= kMinParallelElemsHeavy)
+    if (batch * rows_per_batch * s_k >= kMinParallelElems)
   for (int b = 0; b < batch; ++b) {
     for (long r = 0; r < rows_per_batch; ++r) {
       float* row = scores + (b * rows_per_batch + r) * s_k;
       const long valid = valid_len ? std::min<long>(valid_len[b], s_k) : s_k;
-      float max_v = -std::numeric_limits<float>::infinity();
-      for (long c = 0; c < valid; ++c) max_v = std::max(max_v, row[c] * scale);
-      float sum = 0.0f;
-      for (long c = 0; c < valid; ++c) {
-        row[c] = std::exp(row[c] * scale - max_v);
-        sum += row[c];
-      }
-      const float inv = 1.0f / sum;
-      for (long c = 0; c < valid; ++c) row[c] *= inv;
+      k.softmax_row(row, valid, scale);
       // Masked keys get exactly zero weight.
       for (long c = valid; c < s_k; ++c) row[c] = 0.0f;
     }

@@ -12,6 +12,12 @@ namespace turbo::kernels {
 // multiplies logits first (1/sqrt(d) attention scaling). The single-row
 // primitive softmax_rows applies per row — callers on serial hot paths
 // (decoder attention) use it directly to skip the parallel region.
+//
+// Three vector passes (exp_microkernel.inc): the max of row * scale,
+// e = exp(row * scale - max) with their sum, then e * (1 / sum). The sum
+// takes one order on every ISA (16 strided partial sums, then a fixed
+// tree), so a row's bits depend on its values alone: not on where it sits
+// in a batch, on its tail or on the ISA.
 void softmax_row(float* row, long n, float scale = 1.0f);
 
 // Numerically stable softmax over each row of data[rows, cols], in place.

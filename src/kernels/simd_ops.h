@@ -1,5 +1,6 @@
 // Internal: the vector operations and the run-time ISA choice shared by the
-// SIMD kernels (kernels::gemm, kernels::paged_qk_dot/paged_av_accumulate).
+// SIMD kernels (kernels::gemm, kernels::paged_qk_dot/paged_av_accumulate and
+// the exp-based kernels: gelu, tanh and the softmaxes).
 //
 // Each kernel is written once against an `Ops` struct and compiled once per
 // ISA: its .cc file includes the kernel text (a .inc file) into one
@@ -10,8 +11,11 @@
 //
 // `Ops` supplies: V (a vector of W floats), Mask, W, zero, set1, load,
 // loadm (masked-off lanes read 0), store, storem, mask(n) (the first n
-// lanes), mul, fma and sum16 (one fixed reduction tree over 16 lanes held in
-// 16 / W vectors: l + (l+8), then l + (l+4), l + (l+2), l + (l+1)); plus the
+// lanes), add, sub, mul, div, fma, min and max (x86's minps/maxps: b when
+// either is NaN or both are zero), round (to nearest, ties to even), scalef
+// (x * 2^n for an integral n in [-126, 127]) and sum16 (one fixed reduction
+// tree over 16 lanes held in 16 / W vectors: l + (l+8), then l + (l+4),
+// l + (l+2), l + (l+1)); plus the
 // tile sizes: the GEMM's packed-panel tile of up to kTileRows rows by
 // kPanelVecs vectors (kPanelVecs * W divides PackedWeight::kPanelWidth) and
 // its transposed tile kDotRows x kDotCols, and paged attention's av strip of
@@ -23,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #if defined(__x86_64__) && !defined(__clang__)
@@ -84,8 +89,21 @@ struct Ops {
     if (m) *p = v;
   }
   static Mask mask(int n) { return n > 0; }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
   static V mul(V a, V b) { return a * b; }
+  static V div(V a, V b) { return a / b; }
   static V fma(V a, V b, V c) { return std::fma(a, b, c); }
+  static V min(V a, V b) { return a < b ? a : b; }
+  static V max(V a, V b) { return a > b ? a : b; }
+  // Ties to even in the default rounding mode, which nothing here changes.
+  static V round(V x) { return std::nearbyint(x); }
+  // 2^n is a normal float, so the product rounds once. The NaN test keeps
+  // the int conversion defined.
+  static V scalef(V x, V n) {
+    if (std::isnan(n)) return n;
+    return x * std::bit_cast<float>((static_cast<int>(n) + 127) << 23);
+  }
   static float sum16(const V* lanes) {
     float s[16];
     std::copy(lanes, lanes + 16, s);
@@ -133,8 +151,23 @@ struct Ops {
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
   static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V div(V a, V b) { return _mm256_div_ps(a, b); }
   static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V min(V a, V b) { return _mm256_min_ps(a, b); }
+  static V max(V a, V b) { return _mm256_max_ps(a, b); }
+  static V round(V x) {
+    return _mm256_round_ps(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  // 2^n from its exponent bits, n + 127 in [1, 254]: at n = 128 they would
+  // read inf.
+  static V scalef(V x, V n) {
+    const __m256i e = _mm256_add_epi32(_mm256_cvtps_epi32(n),
+                                       _mm256_set1_epi32(127));
+    return _mm256_mul_ps(x, _mm256_castsi256_ps(_mm256_slli_epi32(e, 23)));
+  }
   // Lanes 0-7 in lanes[0], 8-15 in lanes[1]: first l + (l+8).
   static float sum16(const V* lanes) {
     return sum8(_mm256_add_ps(lanes[0], lanes[1]));
@@ -157,6 +190,7 @@ struct Ops {
   static constexpr int kStripVecs = 4;
   static constexpr int kDotRows = 4;
   static constexpr int kDotCols = 4;
+  static constexpr Mask kAll = 0xffff;
   static V zero() { return _mm512_setzero_ps(); }
   static V set1(float x) { return _mm512_set1_ps(x); }
   static V load(const float* p) { return _mm512_loadu_ps(p); }
@@ -164,8 +198,20 @@ struct Ops {
   static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
   static void storem(float* p, V v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
   static Mask mask(int n) { return static_cast<Mask>((1u << n) - 1u); }
+  static V add(V a, V b) { return _mm512_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm512_sub_ps(a, b); }
   static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  static V div(V a, V b) { return _mm512_div_ps(a, b); }
   static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  // min, max, round and scalef in their zero-masked form under an all-ones
+  // mask, for the reason sum16 gives below.
+  static V min(V a, V b) { return _mm512_maskz_min_ps(kAll, a, b); }
+  static V max(V a, V b) { return _mm512_maskz_max_ps(kAll, a, b); }
+  static V round(V x) {
+    return _mm512_maskz_roundscale_ps(
+        kAll, x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static V scalef(V x, V n) { return _mm512_maskz_scalef_ps(kAll, x, n); }
   // First l + (l+8): the low and high 256-bit halves. Not
   // _mm512_reduce_add_ps, whose order is the compiler's. The extracts are
   // zero-masked because the unmasked ones (and _mm512_castps512_ps256)

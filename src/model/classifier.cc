@@ -1,6 +1,6 @@
 #include "model/classifier.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "kernels/elementwise.h"
 #include "kernels/gemm.h"
@@ -37,8 +37,7 @@ Tensor SequenceClassifier::classify(const Tensor& ids,
   Tensor pooled = Tensor::owned(Shape{B, H});
   kernels::gemm(cls.data<float>(), pooler_weight_, pooled.data<float>(), B);
   kernels::add_bias(pooled.data<float>(), pooler_bias_.data<float>(), B, H);
-  float* p = pooled.data<float>();
-  for (long i = 0; i < pooled.numel(); ++i) p[i] = std::tanh(p[i]);
+  kernels::tanh(pooled.data<float>(), pooled.numel());
 
   Tensor logits = Tensor::owned(Shape{B, num_classes_});
   kernels::gemm(pooled.data<float>(), classifier_weight_, logits.data<float>(),

@@ -7,32 +7,6 @@
 
 namespace turbo::serving {
 
-const char* dispatch_policy_name(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kRoundRobin:
-      return "round_robin";
-    case DispatchPolicy::kLeastLoaded:
-      return "least_loaded";
-    case DispatchPolicy::kSloAware:
-      return "slo_aware";
-  }
-  TT_CHECK_MSG(false, "unknown DispatchPolicy");
-  return "?";
-}
-
-const char* slo_class_name(SloClass slo) {
-  switch (slo) {
-    case SloClass::kTight:
-      return "tight";
-    case SloClass::kStandard:
-      return "standard";
-    case SloClass::kBatch:
-      return "batch";
-  }
-  TT_CHECK_MSG(false, "unknown SloClass");
-  return "?";
-}
-
 double BacklogModel::ready_at(size_t i, double now) const {
   TT_CHECK_LT(i, backlog_until_.size());
   return std::max(backlog_until_[i], now);

@@ -38,14 +38,9 @@ namespace turbo::serving {
 //                 free KV, standard requests go least-loaded.
 enum class DispatchPolicy { kRoundRobin, kLeastLoaded, kSloAware };
 
-// Stable short name ("round_robin", "least_loaded", "slo_aware").
-const char* dispatch_policy_name(DispatchPolicy policy);
-
 // Latency-SLO class of one request. Ordering is meaningful: lower enum
 // value = tighter deadline.
 enum class SloClass { kTight = 0, kStandard = 1, kBatch = 2 };
-
-const char* slo_class_name(SloClass slo);
 
 // priority -> SloClass mapping. GenerationRequest::priority is already the
 // preemption weight (higher survives longer); the router reuses it as the

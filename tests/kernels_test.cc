@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <list>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "kernels/elementwise.h"
 #include "kernels/embedding.h"
+#include "kernels/exp_variants.h"
 #include "kernels/gemm.h"
 #include "kernels/gemm_variants.h"
 #include "kernels/paged_attention.h"
@@ -434,6 +437,242 @@ TEST(PagedAttention, WithinRoundingBoundOfDoubleOracle) {
   }
 }
 
+// ------------------------------------------------------------ vector exp --
+
+// exp's input range (exp_variants.h): inputs outside are clamped to it.
+constexpr float kExpLo = -86.5f;
+constexpr float kExpHi = 88.0f;
+constexpr float kInf = std::numeric_limits<float>::infinity();
+// Around both vector widths (8 and 16) and their tails.
+const long kExpLengths[] = {1, 15, 16, 17, 63, 65, 1000};
+
+// n random floats in [lo, hi], then +-0, the clamp ends, the floats on
+// either side of them, +-1000 and +-inf planted at spread positions (so in
+// several lanes and in the tail), as many as fit.
+std::vector<float> exp_inputs(long n, float lo, float hi, uint64_t seed) {
+  Rng rng(seed);
+  auto v = random_vec(rng, static_cast<size_t>(n), lo, hi);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            kExpLo,
+                            kExpHi,
+                            std::nextafter(kExpLo, 0.0f),
+                            std::nextafter(kExpHi, 0.0f),
+                            std::nextafter(kExpLo, -kInf),
+                            std::nextafter(kExpHi, kInf),
+                            -1000.0f,
+                            1000.0f,
+                            -kInf,
+                            kInf};
+  for (long i = 0; i < static_cast<long>(std::size(specials)) && i < n; ++i) {
+    v[static_cast<size_t>(i * 7 % n)] = specials[i];
+  }
+  return v;
+}
+
+// worst = max(worst, err), but a NaN err stays (std::max would drop it).
+void keep_worst(double& worst, double err) {
+  if (!(err <= worst)) worst = err;
+}
+
+std::vector<float> exp_of(const detail::ExpKernels& k,
+                          const std::vector<float>& x) {
+  std::vector<float> y(x.size());
+  k.exp(x.data(), y.data(), static_cast<long>(x.size()));
+  return y;
+}
+
+std::vector<float> apply(void (*fn)(float*, long), std::vector<float> x) {
+  fn(x.data(), static_cast<long>(x.size()));
+  return x;
+}
+
+std::vector<float> softmax_of(const detail::ExpKernels& k,
+                              std::vector<float> x, float scale) {
+  k.softmax_row(x.data(), static_cast<long>(x.size()), scale);
+  return x;
+}
+
+// Every ISA variant the CPU supports is bit-equal to the portable one on
+// every exp-based kernel, at lengths around both vector widths, with the
+// clamp ends, +-0 and +-inf among the inputs.
+class ExpVariantEquality : public ::testing::TestWithParam<detail::Isa> {};
+
+TEST_P(ExpVariantEquality, BitEqualToPortable) {
+  const detail::ExpKernels* k = detail::exp_kernels(GetParam());
+  if (k == nullptr) {
+    GTEST_SKIP() << "ISA not available on this CPU";
+  }
+  const detail::ExpKernels& k0 = *detail::exp_kernels(detail::Isa::kPortable);
+  for (long n : kExpLengths) {
+    const auto seed = static_cast<uint64_t>(n);
+    const auto x = exp_inputs(n, -100.0f, 100.0f, seed);
+    EXPECT_TRUE(bit_equal(exp_of(*k, x), exp_of(k0, x))) << "exp n=" << n;
+
+    const auto a = exp_inputs(n, -20.0f, 20.0f, seed + 1);
+    EXPECT_TRUE(bit_equal(apply(k->gelu, a), apply(k0.gelu, a)))
+        << "gelu n=" << n;
+    EXPECT_TRUE(bit_equal(apply(k->tanh, a), apply(k0.tanh, a)))
+        << "tanh n=" << n;
+
+    const long rows = 3;
+    const auto data = exp_inputs(rows * n, -20.0f, 20.0f, seed + 2);
+    Rng rng(seed + 3);
+    const auto bias = random_vec(rng, static_cast<size_t>(n));
+    auto want = data, got = data;
+    detail::add_bias_gelu(k0, want.data(), bias.data(), rows, n);
+    detail::add_bias_gelu(*k, got.data(), bias.data(), rows, n);
+    EXPECT_TRUE(bit_equal(want, got)) << "add_bias_gelu n=" << n;
+
+    // Logits with +-0 among them; no inf, whose softmax is NaN.
+    auto logits = random_vec(rng, static_cast<size_t>(n), -30.0f, 30.0f);
+    logits[0] = -0.0f;
+    logits[static_cast<size_t>(n / 2)] = 0.0f;
+    for (float scale : {1.0f, 0.125f}) {
+      EXPECT_TRUE(bit_equal(softmax_of(*k, logits, scale),
+                            softmax_of(k0, logits, scale)))
+          << "softmax_row n=" << n << " scale=" << scale;
+    }
+
+    const int batch = 2, heads = 2;
+    const long s_q = 2;
+    const std::vector<int> valid{static_cast<int>(n),
+                                 static_cast<int>((n + 1) / 2)};
+    const auto scores =
+        random_vec(rng, static_cast<size_t>(batch * heads * s_q * n), -30.0f,
+                   30.0f);
+    want = scores;
+    got = scores;
+    detail::attention_softmax(k0, want.data(), batch, heads, s_q, n, 0.125f,
+                              valid.data());
+    detail::attention_softmax(*k, got.data(), batch, heads, s_q, n, 0.125f,
+                              valid.data());
+    EXPECT_TRUE(bit_equal(want, got)) << "attention_softmax n=" << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, ExpVariantEquality,
+                         ::testing::Values(detail::Isa::kAvx2,
+                                           detail::Isa::kAvx512));
+
+// exp is within 2 ulp of exp in double over its whole input range. Outside
+// it, it reads the clamp end's value: a normal float, never a denormal, 0
+// or inf. exp(+-0) is exactly 1, and NaN stays NaN.
+TEST(Exp, WithinTwoUlpOfDoubleOracle) {
+  const detail::ExpKernels& k = detail::best_exp_kernels();
+  const long n = 1 << 20;
+  std::vector<float> x(static_cast<size_t>(n));
+  for (long i = 0; i < n; ++i) {
+    x[static_cast<size_t>(i)] =
+        kExpLo + (kExpHi - kExpLo) * static_cast<float>(i) / (n - 1);
+  }
+  x.back() = kExpHi;
+  const auto y = exp_of(k, x);
+  double max_ulp = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double ref = std::exp(static_cast<double>(x[i]));
+    const double ulp =
+        std::ldexp(1.0, std::ilogb(static_cast<float>(ref)) - 23);
+    keep_worst(max_ulp, std::fabs(y[i] - ref) / ulp);
+  }
+  EXPECT_LE(max_ulp, 2.0);
+
+  const auto ends = exp_of(k, {kExpLo, kExpHi});
+  const auto below = exp_of(k, {std::nextafter(kExpLo, -kInf), -87.4f,
+                                -104.0f, -1000.0f, -kInf});
+  for (float v : below) {
+    EXPECT_EQ(v, ends[0]);
+    EXPECT_GE(v, std::numeric_limits<float>::min());  // normal, not 0
+  }
+  for (float v : exp_of(k, {std::nextafter(kExpHi, kInf), 88.8f, 1000.0f,
+                            kInf})) {
+    EXPECT_EQ(v, ends[1]);
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  EXPECT_EQ(exp_of(k, {0.0f, -0.0f}), (std::vector<float>{1.0f, 1.0f}));
+  EXPECT_TRUE(std::isnan(exp_of(k, {std::nanf("")})[0]));
+}
+
+// gelu is within 1e-6 of BERT's tanh formula in double over [-20, 20], and
+// tanh within 3e-7 of tanh in double.
+TEST(Gelu, WithinAbsBoundOfDoubleOracle) {
+  const long n = 1 << 20;
+  std::vector<float> x(static_cast<size_t>(n));
+  for (long i = 0; i < n; ++i) {
+    x[static_cast<size_t>(i)] =
+        -20.0f + 40.0f * static_cast<float>(i) / (n - 1);
+  }
+  auto g = x, t = x;
+  gelu(g.data(), n);
+  tanh(t.data(), n);
+  double gelu_err = 0.0, tanh_err = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double v = x[i];
+    const double u = 0.7978845608028654 * (v + 0.044715 * v * v * v);
+    const double ref = 0.5 * v * (1.0 + std::tanh(u));
+    keep_worst(gelu_err, std::fabs(g[i] - ref));
+    keep_worst(tanh_err, std::fabs(t[i] - std::tanh(v)));
+  }
+  EXPECT_LE(gelu_err, 1e-6);
+  EXPECT_LE(tanh_err, 3e-7);
+}
+
+// A row's bits are its own, in every variant: a row computed alone is
+// bit-equal to the same row at element offset 0, 3 or 64 of a longer
+// buffer (other lanes, other tails) run through the public kernels, and
+// to the valid prefix of a padded attention_softmax row.
+TEST(ExpKernels, RowBitsIndependentOfOffsetInABatch) {
+  for (detail::Isa isa :
+       {detail::Isa::kPortable, detail::Isa::kAvx2, detail::Isa::kAvx512}) {
+    const detail::ExpKernels* k = detail::exp_kernels(isa);
+    if (k == nullptr) continue;
+    for (long n : kExpLengths) {
+      Rng rng(static_cast<uint64_t>(n) + 100);
+      const auto row = random_vec(rng, static_cast<size_t>(n), -20.0f, 20.0f);
+      const auto gelu_alone = apply(k->gelu, row);
+      const auto tanh_alone = apply(k->tanh, row);
+      const auto softmax_alone = softmax_of(*k, row, 0.125f);
+      for (long off : {0L, 3L, 64L}) {
+        const long total = off + n + 37;
+        auto batch =
+            random_vec(rng, static_cast<size_t>(total), -20.0f, 20.0f);
+        std::copy(row.begin(), row.end(), batch.begin() + off);
+        auto slice = [&](const std::vector<float>& v) {
+          return std::vector<float>(v.begin() + off, v.begin() + off + n);
+        };
+        auto g = batch, t = batch, s = batch;
+        gelu(g.data(), total);
+        tanh(t.data(), total);
+        softmax_row(s.data() + off, n, 0.125f);
+        EXPECT_TRUE(bit_equal(slice(g), gelu_alone))
+            << "gelu isa=" << static_cast<int>(isa) << " n=" << n
+            << " off=" << off;
+        EXPECT_TRUE(bit_equal(slice(t), tanh_alone))
+            << "tanh n=" << n << " off=" << off;
+        EXPECT_TRUE(bit_equal(slice(s), softmax_alone))
+            << "softmax_row n=" << n << " off=" << off;
+        std::copy(row.begin(), row.end(), s.begin() + off);  // restore
+        EXPECT_TRUE(bit_equal(s, batch)) << "softmax_row wrote outside";
+      }
+      // Row 1 of batch 1 in a [2, 1, 2, n + 5] score tensor whose batch 1
+      // has n valid keys.
+      const long s_k = n + 5;
+      auto scores = random_vec(rng, static_cast<size_t>(4 * s_k));
+      std::copy(row.begin(), row.end(), scores.begin() + 3 * s_k);
+      const std::vector<int> valid{static_cast<int>(s_k),
+                                   static_cast<int>(n)};
+      attention_softmax(scores.data(), 2, 1, 2, s_k, 0.125f, valid.data());
+      auto got = std::vector<float>(scores.begin() + 3 * s_k,
+                                    scores.begin() + 3 * s_k + n);
+      EXPECT_TRUE(bit_equal(got, softmax_alone))
+          << "attention_softmax n=" << n;
+      for (long c = n; c < s_k; ++c) {
+        EXPECT_EQ(scores[static_cast<size_t>(3 * s_k + c)], 0.0f);
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- softmax --
 
 class SoftmaxParam
@@ -623,11 +862,13 @@ TEST(AddBias, BroadcastsOverRows) {
 }
 
 TEST(Gelu, KnownValues) {
-  EXPECT_NEAR(gelu_scalar(0.0f), 0.0f, 1e-6f);
-  EXPECT_NEAR(gelu_scalar(1.0f), 0.8412f, 1e-3f);
-  EXPECT_NEAR(gelu_scalar(-1.0f), -0.1588f, 1e-3f);
-  EXPECT_NEAR(gelu_scalar(10.0f), 10.0f, 1e-3f);   // ~identity for large x
-  EXPECT_NEAR(gelu_scalar(-10.0f), 0.0f, 1e-3f);   // ~zero for very negative
+  std::vector<float> x{0.0f, 1.0f, -1.0f, 10.0f, -10.0f};
+  gelu(x.data(), static_cast<long>(x.size()));
+  EXPECT_NEAR(x[0], 0.0f, 1e-6f);
+  EXPECT_NEAR(x[1], 0.8412f, 1e-3f);
+  EXPECT_NEAR(x[2], -0.1588f, 1e-3f);
+  EXPECT_NEAR(x[3], 10.0f, 1e-3f);  // ~identity for large x
+  EXPECT_NEAR(x[4], 0.0f, 1e-3f);   // ~zero for very negative
 }
 
 TEST(AddBiasGelu, MatchesComposed) {
@@ -639,9 +880,7 @@ TEST(AddBiasGelu, MatchesComposed) {
   add_bias(composed.data(), bias.data(), rows, cols);
   gelu(composed.data(), rows * cols);
   add_bias_gelu(data.data(), bias.data(), rows, cols);
-  for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i], composed[i], 1e-6f);
-  }
+  EXPECT_TRUE(bit_equal(data, composed));
 }
 
 // --------------------------------------------------------------- layouts --

@@ -17,12 +17,14 @@ Tensor make_ids(Rng& rng, int batch, int seq, int vocab) {
   return ids;
 }
 
+// NaN when any element differs by NaN (std::max would drop it), so a NaN
+// on either side fails every bound.
 float max_abs_diff(const Tensor& a, const Tensor& b) {
   EXPECT_EQ(a.numel(), b.numel());
   float worst = 0.0f;
   for (int64_t i = 0; i < a.numel(); ++i) {
-    worst = std::max(worst,
-                     std::abs(a.data<float>()[i] - b.data<float>()[i]));
+    const float d = std::abs(a.data<float>()[i] - b.data<float>()[i]);
+    if (!(d <= worst)) worst = d;
   }
   return worst;
 }
@@ -95,8 +97,9 @@ TEST(Encoder, PaddingWithMaskMatchesUnpaddedRun) {
   float worst = 0.0f;
   for (int s = 0; s < real_len; ++s) {
     for (int h = 0; h < H; ++h) {
-      worst = std::max(worst, std::abs(unpadded.at({0, s, h}) -
-                                       padded.at({0, s, h})));
+      const float d =
+          std::abs(unpadded.at({0, s, h}) - padded.at({0, s, h}));
+      if (!(d <= worst)) worst = d;  // a NaN stays the worst
     }
   }
   EXPECT_LT(worst, 5e-3f);
